@@ -1,8 +1,7 @@
 """Vectorized forward-surface evolution.
 
-The engine advances a batch of paths of the full surface state
-(f on the maturity/barrier grid, loss level, running discount integral,
-short-rate accumulators) over a master time grid. The scheme:
+The engine advances a batch of paths of the surface model over a master
+time grid. The scheme:
 
 * deterministic drift is integrated exactly in time per step with a fixed
   Gauss-Legendre rule, separately per distinct loss level (loss changes the
@@ -16,21 +15,21 @@ short-rate accumulators) over a master time grid. The scheme:
   stochastic part is assembled from closed-form piecewise integrals split
   at driver jumps.
 
-Two stepping lanes implement the same quadrature. When b is barrier-flat
-(every named family) the path state is separable: paths carry only the
-component accumulators, the loss level, the discount integral and a
-per-path jump adjustment, and the full surface is materialized only at
-report nodes; per-step work is O(n d) instead of O(n nT nx).
-Barrier-dependent volatility falls back to dense stepping of the full
-surface. The lanes agree to floating-point rounding.
+The path state is separable: the surface is a deterministic part plus
+component accumulators times maturity shapes plus a per-path contagion
+adjustment, so paths carry only those accumulators, the loss level, the
+discount integral and the adjustment. The full surface is materialized
+only at report nodes; per-step work is O(n d) instead of O(n nT nx).
 
 Consequence leaned on by the test suite: with no Brownian part the whole
 scheme has no stepping error, so results are independent of the step size
 up to quadrature tolerance.
 
-Requirements on the coefficients: b must be loss-independent and carry its
-separable x = 1 decomposition (the named families provide both); a callable
-drift must be loss-independent on the x = 1 slice.
+Requirements on the coefficients: b must be loss-independent, flat in the
+barrier (``b_x_flat``) and carry its separable x = 1 decomposition (the
+named families provide all three); a callable drift must be
+loss-independent on the x = 1 slice. Barrier-dependent volatility is
+rejected with ConfigError.
 """
 
 from __future__ import annotations
@@ -43,7 +42,7 @@ import numpy as np
 from scipy.integrate import quad
 
 from .errors import BoundError, ConfigError, GridError, StepError
-from .hjm import CoefficientSpec, ForwardSurface, b_star, c_star
+from .hjm import CoefficientSpec, ForwardSurface, c_star
 from .levy import (
     LevyPathRecord,
     LevyTriplet,
@@ -137,6 +136,11 @@ class SurfaceEngine:
                 "the engine requires the separable x = 1 volatility "
                 "decomposition (b_components); named families provide it"
             )
+        if not coeffs.b_x_flat:
+            raise ConfigError(
+                "the engine requires barrier-flat volatility (b_x_flat); "
+                "named families provide it"
+            )
         grid = np.asarray(master_grid, dtype=float)
         if grid.ndim != 1 or len(grid) < 2 or np.any(np.diff(grid) <= 0):
             raise GridError("master grid must be strictly increasing with >= 2 nodes")
@@ -164,18 +168,16 @@ class SurfaceEngine:
 
         self._comps = coeffs.b_components
         self._ncomp = len(self._comps)
-        self._can_separate = bool(coeffs.b_x_flat)
         self._cumX_cache: dict = {}
-        if coeffs.b_x_flat:
-            self._check_flat_decomposition()
+        self._check_flat_decomposition()
         self._prepare_short_rate_pieces()
         self._prepare_step_tables()
         self._prepare_cum_deterministic_rate()
 
     def _check_flat_decomposition(self):
         """Spot-check that barrier-flat volatility matches its separable
-        decomposition; the separable lane and the short-rate accumulators
-        rely on that identity."""
+        decomposition; the path state and the short-rate accumulators rely
+        on that identity."""
         t_lo = float(self.grid[0])
         T_lo, T_hi = float(self.maturities[0]), float(self.maturities[-1])
         for frac_t, frac_T in ((0.31, 1.0), (0.77, 0.5)):
@@ -201,7 +203,7 @@ class SurfaceEngine:
     # ----- coefficient evaluation ---------------------------------------
 
     def _b_rows(self, t: float) -> np.ndarray:
-        """b(t, T_grid) as (nT, d); valid when b is barrier-flat."""
+        """b(t, T_grid) as (nT, d), shared by every barrier slice."""
         out = np.zeros((self.nT, self.d))
         for comp in self._comps:
             out += np.asarray(comp.psi(self.maturities), dtype=float)[:, None] \
@@ -237,31 +239,6 @@ class SurfaceEngine:
         for comp in self._comps:
             out += float(np.asarray(comp.psi(np.asarray(T, dtype=float)))) \
                 * np.asarray(comp.phi(t), dtype=float)
-        return out
-
-    def _b_matrix(self, t: float) -> np.ndarray:
-        """b(t, T_grid, x_grid) as (nT, nx, d) through the general interface."""
-        if self.coeffs.b_x_flat:
-            rows = self._b_rows(t)
-            return np.broadcast_to(rows[:, None, :], (self.nT, self.nx, self.d)).copy()
-        out = np.empty((self.nT, self.nx, self.d))
-        if self.coeffs.b_vectorized:
-            for i, x in enumerate(self.barriers):
-                out[:, i, :] = np.asarray(self.coeffs.b(t, self.maturities, float(x), 0.0))
-        else:
-            for g, T in enumerate(self.maturities):
-                for i, x in enumerate(self.barriers):
-                    out[g, i, :] = np.asarray(self.coeffs.b(t, float(T), float(x), 0.0))
-        return out
-
-    def _b_star_matrix(self, t: float) -> np.ndarray:
-        if self.coeffs.b_x_flat:
-            rows = self._b_star_rows(t)
-            return np.broadcast_to(rows[:, None, :], (self.nT, self.nx, self.d)).copy()
-        out = np.empty((self.nT, self.nx, self.d))
-        for g, T in enumerate(self.maturities):
-            for i, x in enumerate(self.barriers):
-                out[g, i, :] = b_star(self.coeffs, t, float(T), float(x), 0.0)
         return out
 
     def _c_rows(self, t: float, x: float, y: float, ell: float) -> np.ndarray:
@@ -313,22 +290,12 @@ class SurfaceEngine:
         no-arbitrage tag, <grad J(b*), b>. Matured columns come out exactly
         zero because b* is clamped there and grad J(0) = -m_c.
         """
-        if self.coeffs.b_x_flat:
-            brows = self._b_rows(s)
-            out_rows = brows @ self._mc
-            if self._no_arb:
-                grads = laplace_gradient_rows(self._b_star_rows(s), self.triplet)
-                out_rows = out_rows + np.einsum("gd,gd->g", grads, brows)
-            return np.broadcast_to(out_rows[:, None], (self.nT, self.nx)).copy()
-        bmat = self._b_matrix(s)
-        out = bmat @ self._mc
+        brows = self._b_rows(s)
+        out_rows = brows @ self._mc
         if self._no_arb:
-            flat = self._b_star_matrix(s).reshape(-1, self.d)
-            grads = laplace_gradient_rows(flat, self.triplet).reshape(
-                self.nT, self.nx, self.d
-            )
-            out = out + np.einsum("gxd,gxd->gx", grads, bmat)
-        return out
+            grads = laplace_gradient_rows(self._b_star_rows(s), self.triplet)
+            out_rows = out_rows + np.einsum("gd,gd->g", grads, brows)
+        return np.broadcast_to(out_rows[:, None], (self.nT, self.nx)).copy()
 
     def _extra_drift_matrix_at(self, s: float, ell: float) -> np.ndarray:
         """Loss-level-dependent pointwise drift at time s: contagion part of
@@ -353,13 +320,6 @@ class SurfaceEngine:
                     out[g, i] += float(self.coeffs.drift(s, float(T), float(x), ell))
         return out
 
-    def _extra_drift_integral(self, a: float, b: float, ell: float) -> np.ndarray:
-        nodes, weights = _gl_nodes(a, b)
-        acc = np.zeros((self.nT, self.nx))
-        for s, w in zip(nodes, weights):
-            acc += w * self._extra_drift_matrix_at(s, ell)
-        return acc
-
     def _extra_nodes_step(self, s_idx: int, ell: float):
         """Node values and full-step integral of the extra drift, cached.
 
@@ -379,25 +339,13 @@ class SurfaceEngine:
             self._extra_cache[key] = hit
         return hit
 
-    def _extra_drift_step(self, s_idx: int, ell: float) -> np.ndarray:
-        return self._extra_nodes_step(s_idx, ell)[1]
-
-    def _extra_drift_tail(self, s_idx: int, ell: float, when: float) -> np.ndarray:
-        """int_when^{t1} of the extra drift, from the step's cached cubic.
+    def _extra_drift_head(self, s_idx: int, ell: float, when: float) -> np.ndarray:
+        """int_{t0}^{when} of the extra drift, from the step's cached cubic.
 
         Interpolation error is O(step^5), far below every tolerance the
         engine is used at; the full-interval case reproduces the
         Gauss-Legendre value exactly.
         """
-        t0, t1 = float(self.grid[s_idx]), float(self.grid[s_idx + 1])
-        mats, _ = self._extra_nodes_step(s_idx, ell)
-        half = 0.5 * (t1 - t0)
-        u = (when - 0.5 * (t0 + t1)) / half
-        w = half * _gl_partial_weights(u)
-        return np.einsum("j,jgx->gx", w, mats)
-
-    def _extra_drift_head(self, s_idx: int, ell: float, when: float) -> np.ndarray:
-        """int_{t0}^{when} of the extra drift, complement of the tail."""
         t0, t1 = float(self.grid[s_idx]), float(self.grid[s_idx + 1])
         mats, integral = self._extra_nodes_step(s_idx, ell)
         half = 0.5 * (t1 - t0)
@@ -419,32 +367,29 @@ class SurfaceEngine:
             hit = np.empty((steps + 1, self.nT, self.nx))
             hit[0] = 0.0
             for s_idx in range(steps):
-                hit[s_idx + 1] = hit[s_idx] + self._extra_drift_step(s_idx, key)
+                hit[s_idx + 1] = hit[s_idx] + self._extra_nodes_step(s_idx, key)[1]
             self._cumX_cache[key] = hit
         return hit
 
     def _prepare_step_tables(self):
         steps = len(self.grid) - 1
-        self.base_drift = np.empty((steps, self.nT, self.nx))
-        self._b_left_flat = np.empty((steps, self.d, self.nT * self.nx))
+        base_drift = np.empty((steps, self.nT, self.nx))
         self._phi_left = np.empty((steps, self._ncomp, self.d))
         for s_idx in range(steps):
             nodes, weights = _gl_nodes(self.grid[s_idx], self.grid[s_idx + 1])
             acc = np.zeros((self.nT, self.nx))
             for s, w in zip(nodes, weights):
                 acc += w * self._base_drift_matrix_at(s)
-            self.base_drift[s_idx] = acc
-            bmat0 = self._b_matrix(self.grid[s_idx])
-            if np.max(np.abs(bmat0)) > self.coeffs.b_bound:
+            base_drift[s_idx] = acc
+            if np.max(np.abs(self._b_rows(self.grid[s_idx]))) > self.coeffs.b_bound:
                 raise BoundError(
                     f"volatility exceeded its declared bound {self.coeffs.b_bound} "
                     f"at t={self.grid[s_idx]}"
                 )
-            self._b_left_flat[s_idx] = bmat0.reshape(-1, self.d).T
             for ci, comp in enumerate(self._comps):
                 self._phi_left[s_idx, ci] = np.asarray(comp.phi(self.grid[s_idx]))
         self.base_cum = np.concatenate(
-            [np.zeros((1, self.nT, self.nx)), np.cumsum(self.base_drift, axis=0)]
+            [np.zeros((1, self.nT, self.nx)), np.cumsum(base_drift, axis=0)]
         )
 
     # ----- short rate and discounting -------------------------------------
@@ -518,11 +463,11 @@ class SurfaceEngine:
         out = float(self.surface0.forward_at(min(t, float(self.maturities[-1])), 1.0))
         if t > self.grid[0]:
             def integrand(u):
-                v = self._b_star_one(u, t)
-                val = float(v @ self._mc)
+                b = self._b_rows_one(u, t)
+                val = float(b @ self._mc)
                 if self._no_arb:
-                    val += float(laplace_gradient(v, self.triplet)
-                                 @ self._b_rows_one(u, t))
+                    val += float(laplace_gradient(self._b_star_one(u, t),
+                                                  self.triplet) @ b)
                 elif not self._drift_is_tag:
                     val += float(self.coeffs.drift(u, t, 1.0, 0.0))
                 return val
@@ -568,16 +513,19 @@ class SurfaceEngine:
     def run_chunk(self, n: int, seed: int, chunk_index: int,
                   collectors, report_nodes,
                   injected: Optional[tuple] = None,
-                  path_offset: int = 0, lane: str = "auto") -> None:
+                  path_offset: int = 0) -> None:
         """Evolve ``n`` paths, invoking collectors at the report nodes.
 
         ``collectors`` is a sequence of callables (pos, state) -> None where
         pos indexes ``report_nodes`` (ascending node indices into the master
         grid). ``injected`` carries (driver_record, loss_path) for
         deterministic single-path runs; otherwise paths are drawn from the
-        chunk's dedicated generator streams. ``lane`` picks the stepping
-        implementation: "auto" uses the separable lane when the volatility
-        is barrier-flat and dense stepping otherwise.
+        chunk's dedicated generator streams.
+
+        Paths never carry the (nT, nx) surface between report nodes. Driver
+        jumps enter through the component accumulators; a loss jump adds
+        its contagion rows and converts the drift history to the new level
+        through cumulative level integrals.
         """
         d = self.d
         steps = len(self.grid) - 1
@@ -627,137 +575,6 @@ class SurfaceEngine:
         bounds = np.searchsorted(ev_step, np.arange(steps + 1))
         report_pos = {int(node): pos for pos, node in enumerate(report_nodes)}
 
-        if lane == "auto":
-            lane = "separable" if self._can_separate else "dense"
-        if lane == "separable" and not self._can_separate:
-            raise ConfigError(
-                "the separable lane requires barrier-flat volatility"
-            )
-        if lane not in ("separable", "dense"):
-            raise ConfigError(f"unknown engine lane {lane!r}")
-        args = (n, collectors, report_pos, steps, ev_t, ev_kind, ev_path,
-                ev_ref, jz, ly, bounds, normals, gen_levy, path_offset)
-        if lane == "separable":
-            self._run_separable(*args)
-        else:
-            self._run_dense(*args)
-
-    def _run_dense(self, n, collectors, report_pos, steps, ev_t, ev_kind,
-                   ev_path, ev_ref, jz, ly, bounds, normals, gen_levy,
-                   path_offset):
-        """Full-surface stepping: every path carries its (nT, nx) matrix."""
-        nT, nx, d = self.nT, self.nx, self.d
-        F = np.broadcast_to(self.surface0.values, (n, nT, nx)).copy()
-        Fflat = F.reshape(n, nT * nx)
-        tmp = np.empty_like(Fflat)
-        ell = np.zeros(n)
-        level_count = {0.0: n}  # multiset of current loss levels
-        R = np.zeros(n)
-        I = np.zeros((n, self._ncomp))
-
-        if 0 in report_pos:
-            self._emit(collectors, report_pos[0], 0, F, ell, R, I, path_offset)
-
-        for s_idx in range(steps):
-            t0, t1 = float(self.grid[s_idx]), float(self.grid[s_idx + 1])
-            dt = t1 - t0
-
-            # deterministic drift over the step, at the entering loss level
-            if not self._has_extra:
-                F += self.base_drift[s_idx][None, :, :]
-            elif len(level_count) == 1:
-                lv = next(iter(level_count))
-                F += (self.base_drift[s_idx]
-                      + self._extra_drift_step(s_idx, lv))[None, :, :]
-            else:
-                F += self.base_drift[s_idx][None, :, :]
-                for lv in level_count:
-                    F[ell == lv] += self._extra_drift_step(s_idx, lv)[None, :, :]
-
-            # events inside the step, in time order (exact insertion)
-            rate_pieces: dict = {}
-            for e in range(bounds[s_idx], bounds[s_idx + 1]):
-                when = float(ev_t[e])
-                p = int(ev_path[e])
-                if ev_kind[e] == 0:
-                    z = jz[ev_ref[e]]
-                    if self.coeffs.b_x_flat:
-                        F[p] += (self._b_rows(when) @ z)[:, None]
-                    else:
-                        F[p] += self._b_matrix(when) @ z
-                    if self._ncomp:
-                        rate_pieces.setdefault(p, []).append(
-                            (when, self._phi_at(when) @ z)
-                        )
-                else:
-                    y = float(ly[ev_ref[e]])
-                    old = float(ell[p])
-                    for i, x in enumerate(self.barriers):
-                        F[p, :, i] += self._c_rows(when, float(x), y, old)
-                    if self._has_extra:
-                        F[p] -= self._extra_drift_tail(s_idx, old, when)
-                        F[p] += self._extra_drift_tail(s_idx, old + y, when)
-                    new = old + y
-                    ell[p] = new
-                    level_count[old] -= 1
-                    if not level_count[old]:
-                        del level_count[old]
-                    level_count[new] = level_count.get(new, 0) + 1
-
-            # discount integral over the step: deterministic part plus the
-            # accumulator part (frozen at step entry except at driver jumps)
-            R += self._cumG[s_idx + 1] - self._cumG[s_idx]
-            if self._ncomp:
-                R += I @ self._psi_int_step[s_idx]
-                for p, pieces in rate_pieces.items():
-                    cur = t0
-                    exact = 0.0
-                    Ip = I[p].copy()
-                    for when, dI in pieces:
-                        exact += float(Ip @ self._psi_int(cur, when))
-                        Ip = Ip + dI
-                        cur = when
-                    exact += float(Ip @ self._psi_int(cur, t1))
-                    R[p] += exact - float(I[p] @ self._psi_int_step[s_idx])
-                    I[p] = Ip
-
-            # Brownian part, loading frozen at the step's left endpoint
-            if normals is None:
-                draws = gen_levy.standard_normal((n, d))
-                dW = draws @ (math.sqrt(dt) * self.triplet.sigma_root).T
-            else:
-                dW = np.broadcast_to(normals[s_idx], (n, d))
-            np.matmul(dW, self._b_left_flat[s_idx], out=tmp)
-            Fflat += tmp
-            if self._ncomp:
-                I += dW @ self._phi_left[s_idx].T
-
-            # one-pass finite check: any NaN or infinity poisons the sum
-            if not math.isfinite(float(Fflat.sum())):
-                bad = np.argwhere(~np.isfinite(F))[0]
-                raise StepError(
-                    f"non-finite forward rate at t={t1:.6g} (maturity "
-                    f"{self.maturities[bad[1]]:.6g}, barrier {self.barriers[bad[2]]:.6g})"
-                )
-
-            node = s_idx + 1
-            if node in report_pos:
-                self._emit(collectors, report_pos[node], node, F, ell, R, I,
-                           path_offset)
-
-    def _run_separable(self, n, collectors, report_pos, steps, ev_t, ev_kind,
-                       ev_path, ev_ref, jz, ly, bounds, normals, gen_levy,
-                       path_offset):
-        """Separable-state stepping for barrier-flat volatility.
-
-        The surface is a known deterministic part plus component
-        accumulators times maturity shapes plus per-path jump adjustments,
-        so paths never carry the (nT, nx) matrix between report nodes.
-        Driver jumps enter through the accumulators; a loss jump adds its
-        contagion rows and converts the drift history to the new level
-        through cumulative level integrals.
-        """
-        d = self.d
         ell = np.zeros(n)
         level_count = {0.0: n}  # multiset of current loss levels
         R = np.zeros(n)
@@ -800,6 +617,8 @@ class SurfaceEngine:
                         del level_count[old]
                     level_count[new] = level_count.get(new, 0) + 1
 
+            # discount integral over the step: deterministic part plus the
+            # accumulator part (frozen at step entry except at driver jumps)
             R += self._cumG[s_idx + 1] - self._cumG[s_idx]
             if self._ncomp:
                 R += I @ self._psi_int_step[s_idx]
@@ -814,6 +633,7 @@ class SurfaceEngine:
                     exact += float(Ip @ self._psi_int(cur, t1))
                     R[p] += exact - float(I[p] @ self._psi_int_step[s_idx])
                     I[p] = Ip
+                # Brownian part, loading frozen at the step's left endpoint
                 if normals is not None:
                     dW = np.broadcast_to(normals[s_idx], (n, d))
                     I += dW @ self._phi_left[s_idx].T
@@ -832,6 +652,8 @@ class SurfaceEngine:
 
     def _emit_assembled(self, collectors, pos, node, ell, level_count, R, I,
                         adjust, n, offset):
+        """Materialize the chunk's surfaces at a report node and hand the
+        state to the collectors."""
         vals = np.empty((n, self.nT, self.nx))
         vals[:] = self.surface0.values + self.base_cum[node]
         if self._has_extra:
@@ -851,12 +673,9 @@ class SurfaceEngine:
                 f"{self.maturities[bad[1]]:.6g}, barrier "
                 f"{self.barriers[bad[2]]:.6g})"
             )
-        self._emit(collectors, pos, node, vals, ell, R, I, offset)
-
-    def _emit(self, collectors, pos, node, F, ell, R, I, offset):
         r = self._G_at(node) + (I @ self._psi_at_node[node] if self._ncomp
-                                else np.zeros(len(F)))
-        state = PathState(t=float(self.grid[node]), node=node, values=F,
+                                else np.zeros(n))
+        state = PathState(t=float(self.grid[node]), node=node, values=vals,
                           loss=ell, discount_log=R, short_rate=r, offset=offset)
         for fn in collectors:
             fn(pos, state)
@@ -894,7 +713,6 @@ class SurfaceEngine:
             diagonal=diag,
             x_interp=self.surface0.x_interp,
             interpolate=self.surface0.interpolate,
-            drift_tag=self.coeffs.drift if self._drift_is_tag else "user",
         )
 
 
@@ -921,5 +739,5 @@ def evolve_surface(surface: ForwardSurface, coeffs: CoefficientSpec,
         out[pos] = engine.surface_snapshot(state, 0)
 
     engine.run_chunk(1, 0, 0, [collect], list(range(len(grid))),
-                     injected=(levy_path, loss_path), lane="dense")
+                     injected=(levy_path, loss_path))
     return out

@@ -21,7 +21,6 @@ __all__ = [
     "QuadratureError",
     "ConfigError",
     "DegenerateAnnuityError",
-    "ParseError",
     "InsufficientPathsError",
 ]
 
@@ -72,10 +71,6 @@ class ConfigError(LevyCdoError):
 
 class DegenerateAnnuityError(LevyCdoError):
     """The annuity of a tranche is numerically zero; no par spread exists."""
-
-
-class ParseError(LevyCdoError):
-    """A scenario file or CSV input failed validation."""
 
 
 class InsufficientPathsError(LevyCdoError):

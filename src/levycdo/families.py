@@ -31,7 +31,6 @@ __all__ = [
     "VolComponent",
     "constant_component",
     "exp_decay_component",
-    "separable_component",
     "step_component",
     "Contagion",
     "no_contagion",
@@ -89,24 +88,6 @@ def exp_decay_component(vector, decay: float) -> VolComponent:
         phi=lambda t: float(np.exp(decay * t)),
         psi=lambda T: np.exp(-decay * np.asarray(T, dtype=float)),
         psi_integral=lambda a, b: (np.exp(-decay * a) - np.exp(-decay * b)) / decay,
-    )
-
-
-def separable_component(vector, time_rate: float, maturity_decay: float) -> VolComponent:
-    """b contribution sigma * exp(time_rate * t) * exp(-maturity_decay * T)."""
-    vec = np.asarray(vector, dtype=float)
-    g = maturity_decay
-    if abs(g) < 1e-14:
-        psi = lambda T: np.ones_like(np.asarray(T, dtype=float))
-        psi_int = lambda a, b: b - a
-    else:
-        psi = lambda T: np.exp(-g * np.asarray(T, dtype=float))
-        psi_int = lambda a, b: (np.exp(-g * a) - np.exp(-g * b)) / g
-    return VolComponent(
-        vector=vec,
-        phi=lambda t: float(np.exp(time_rate * t)),
-        psi=psi,
-        psi_integral=psi_int,
     )
 
 

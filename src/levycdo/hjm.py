@@ -92,7 +92,9 @@ class CoefficientSpec:
     decomposition of b at x = 1. ``b_vectorized`` promises that b and c (and
     the integrals) broadcast over an array of maturities; ``b_x_flat``
     promises that b does not depend on the barrier at all, so the x = 1
-    decomposition describes every slice.
+    decomposition describes every slice. ``SurfaceEngine`` requires
+    ``b_components`` and ``b_x_flat`` (and loss-independent b); the
+    pointwise drifts and bond functions here accept any b.
     """
 
     dimension: int
@@ -268,7 +270,6 @@ class ForwardSurface:
     diagonal: Optional[np.ndarray] = None
     x_interp: str = "linear"
     interpolate: bool = True
-    drift_tag: str = "no_arbitrage"
 
     def __post_init__(self):
         self.maturities = np.asarray(self.maturities, dtype=float)

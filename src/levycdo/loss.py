@@ -62,7 +62,6 @@ class LossCompensatorSpec:
     marks: tuple
     max_rate: float
     time_dependent: bool = True
-    marks_fn: Optional[Callable[[float, float], tuple]] = None
     _warned: list = field(default_factory=list, compare=False, repr=False)
 
     @classmethod
@@ -103,9 +102,7 @@ class LossCompensatorSpec:
         )
 
     def mark_atoms(self, t: float, ell: float) -> tuple:
-        """Mark atoms before the support rule, honoring a state override."""
-        if self.marks_fn is not None:
-            return _check_marks(self.marks_fn(t, ell))
+        """Mark atoms before the support rule."""
         return self.marks
 
     def effective_atoms(self, t: float, ell: float):

@@ -287,8 +287,7 @@ def run_martingale_test(coeffs: CoefficientSpec, triplet: LevyTriplet,
                         surface0: ForwardSurface, n_paths: int,
                         time_grid, targets: Sequence,
                         seed: int, report_times=None,
-                        threads: Optional[int] = None,
-                        lane: str = "auto") -> MartingaleTestReport:
+                        threads: Optional[int] = None) -> MartingaleTestReport:
     """Simulate the surface model and test E[D_t P(t,T,x)] for constancy.
 
     ``time_grid`` is the simulation grid; ``report_times`` (default: every
@@ -300,16 +299,35 @@ def run_martingale_test(coeffs: CoefficientSpec, triplet: LevyTriplet,
     10% of the corresponding time-zero value: a verdict from that little
     data would be noise either way.
     """
+    seed = _check_martingale_inputs([n_paths], targets, seed)
+    engine = SurfaceEngine(coeffs, triplet, loss_spec, surface0,
+                           np.asarray(time_grid, dtype=float))
+    return _martingale_report(engine, n_paths, targets, seed, report_times,
+                              threads)
+
+
+def _check_martingale_inputs(n_list: Sequence[int], targets: Sequence,
+                             seed: int) -> int:
+    """Validate path counts, targets and seed before any engine is built;
+    returns the checked seed."""
     seed = check_seed(seed)
-    if n_paths < _MIN_PATHS:
-        raise ConfigError(
-            f"martingale test needs at least {_MIN_PATHS} paths for its "
-            f"z-scores to be meaningful, got {n_paths}"
-        )
+    for n_paths in n_list:
+        if n_paths < _MIN_PATHS:
+            raise ConfigError(
+                f"martingale test needs at least {_MIN_PATHS} paths for its "
+                f"z-scores to be meaningful, got {n_paths}"
+            )
     if not targets:
         raise ConfigError("at least one (T, x) target is required")
-    grid = np.asarray(time_grid, dtype=float)
-    engine = SurfaceEngine(coeffs, triplet, loss_spec, surface0, grid)
+    return seed
+
+
+def _martingale_report(engine: SurfaceEngine, n_paths: int, targets,
+                       seed: int, report_times,
+                       threads: Optional[int]) -> MartingaleTestReport:
+    """The martingale test on an already built engine (inputs checked)."""
+    grid = engine.grid
+    surface0 = engine.surface0
     targets = tuple((float(T), float(x)) for T, x in targets)
 
     if report_times is None:
@@ -373,7 +391,6 @@ def run_martingale_test(coeffs: CoefficientSpec, triplet: LevyTriplet,
                  "steps": int(len(grid) - 1)},
         "report_times": [float(t) for t in times],
         "targets": [[float(T), float(x)] for T, x in targets],
-        "lane": lane,
     }
     return MartingaleTestReport(
         times=times, targets=targets, reference=reference, means=means,
@@ -411,15 +428,15 @@ def convergence_sweep(coeffs: CoefficientSpec, triplet: LevyTriplet,
     separate time-stepping bias (moves with dt) from statistics (moves
     with N).
     """
+    seed = _check_martingale_inputs(n_list, targets, seed)
     rows = []
     for dt in dt_list:
         grid = build_master_grid(horizon, float(dt),
                                  include=tuple(report_times))
+        engine = SurfaceEngine(coeffs, triplet, loss_spec, surface0, grid)
         for n in n_list:
-            rep = run_martingale_test(
-                coeffs, triplet, loss_spec, surface0, int(n), grid, targets,
-                seed, report_times=report_times, threads=threads,
-            )
+            rep = _martingale_report(engine, int(n), targets, seed,
+                                     report_times, threads)
             flat = np.abs(np.nan_to_num(rep.z_scores, nan=0.0))
             it, im = np.unravel_index(int(np.argmax(flat)), flat.shape)
             rows.append(SweepRow(
@@ -474,7 +491,7 @@ class PathBundle:
 def simulate_bundle(coeffs: CoefficientSpec, triplet: LevyTriplet,
                     loss_spec: Optional[LossCompensatorSpec],
                     surface0: ForwardSurface, time_grid, n_paths: int,
-                    seed: int, lane: str = "auto") -> PathBundle:
+                    seed: int) -> PathBundle:
     """Simulate a handful of fully materialized paths.
 
     Every grid node stores a surface snapshot per path, so memory grows as
@@ -510,7 +527,7 @@ def simulate_bundle(coeffs: CoefficientSpec, triplet: LevyTriplet,
             discounts[_p, pos] = math.exp(-state.discount_log[0])
 
         engine.run_chunk(1, 0, 0, [collect], nodes,
-                         injected=(record, lpath), lane=lane)
+                         injected=(record, lpath))
         records.append(record)
         loss_paths.append(lpath)
         all_surf.append(tuple(snaps))

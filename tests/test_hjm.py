@@ -446,32 +446,103 @@ def test_jump_only_chunks_are_grid_independent():
     np.testing.assert_array_equal(out["coarse"]["loss"], out["fine"]["loss"])
 
 
-def test_stepping_lanes_agree(ladder_coeffs, ladder_loss, ladder_surface):
-    """Dense and separable stepping are the same scheme to rounding."""
+def test_evolution_with_jumps_is_drift_reintegration(ladder_coeffs,
+                                                     ladder_loss,
+                                                     ladder_surface):
+    """Driver and loss jumps: the surface is drift plus closed-form jumps.
+
+    With zero Gaussian increments, on every alive slice
+
+        f(t,T,x) - f(0,T,x) = int_0^t [a(s,T,x,L_s) + <b(s,T), m_c>] ds
+                              + sum_j b(u_j,T)·z_j
+                              + sum_e c(t_e,T,x,y_e,L_{t_e-}),
+
+    with the drift a re-integrated by adaptive quadrature at the
+    piecewise-constant loss level. The short rate is the same construction
+    at T = t, x = 1 and the discount integral is its time integral.
+    """
     trip = LevyTriplet(
         m=np.zeros(2), sigma=np.array([[1.0, 0.3], [0.3, 1.0]]),
         jumps=JumpMeasureSpec.compound_poisson(
             1.0, [([0.3, -0.2], 0.6), ([-0.1, 0.4], 0.4)]
         ),
     )
-    grid = build_master_grid(1.0, 1.0 / 40)
+    grid = build_master_grid(1.0, 1.0 / 32)
+    jt, jz = np.array([0.23, 0.71]), np.array([[0.3, -0.2], [-0.1, 0.4]])
+    # one loss jump on the node 12/32, one inside a step; the second
+    # crosses the x = 0.3 slice
+    lt = np.array([0.375, 0.6])
+    ly = np.full(2, LADDER_MARK)
+    lpath = LossPath(lt, ly, 1.0)
+    rec = _zero_record(grid, 2, jt, jz, trip.small_jump_mean)
+    snaps = evolve_surface(ladder_surface, ladder_coeffs, trip, ladder_loss,
+                           rec, lpath, grid)
+    got = {}
     eng = SurfaceEngine(ladder_coeffs, trip, ladder_loss, ladder_surface, grid)
-    reports = [0, len(grid) // 2, len(grid) - 1]
-    grabs = {}
 
-    def make(tag):
-        def collect(pos, state):
-            grabs.setdefault(tag, {})[pos] = (
-                state.values.copy(), state.loss.copy(),
-                state.discount_log.copy(), state.short_rate.copy(),
-            )
-        return collect
+    def collect(pos, state):
+        got[pos] = (float(state.short_rate[0]), float(state.discount_log[0]),
+                    float(state.loss[0]))
 
-    eng.run_chunk(48, 11, 0, [make("dense")], reports, lane="dense")
-    eng.run_chunk(48, 11, 0, [make("sep")], reports, lane="separable")
-    for pos in range(len(reports)):
-        for a, b in zip(grabs["dense"][pos], grabs["sep"][pos]):
-            np.testing.assert_allclose(a, b, atol=1e-12, rtol=0)
+    report = [int(np.argmin(np.abs(grid - t))) for t in (0.375, 0.6875, 1.0)]
+    eng.run_chunk(1, 0, 0, [collect], report, injected=(rec, lpath))
+
+    m_c = trip.continuous_drift
+    levels = np.concatenate([[0.0], np.cumsum(ly)])
+    brk = np.concatenate([[0.0], lt])
+
+    def loss_at(s):
+        return float(levels[np.searchsorted(lt, s, side="left")])
+
+    def drift(s, T, x):
+        b = np.asarray(ladder_coeffs.b(s, T, x, 0.0), dtype=float)
+        return (dc1_drift_pointwise(ladder_coeffs, ladder_loss, trip, s, T, x,
+                                    loss_at(s)) + float(b @ m_c))
+
+    def drift_integral(t, T, x):
+        cuts = np.concatenate([brk[brk < t], [t]])
+        return sum(
+            quad(drift, a, b, args=(T, x), epsabs=1e-13, epsrel=1e-12,
+                 limit=300)[0]
+            for a, b in zip(cuts[:-1], cuts[1:])
+        )
+
+    def driver_jumps(t, T, x):
+        return sum(float(np.asarray(ladder_coeffs.b(u, T, x, 0.0)) @ z)
+                   for u, z in zip(jt, jz) if u <= t)
+
+    def contagion(t, T, x):
+        return sum(float(np.asarray(ladder_coeffs.eval_c(te, T, x, y,
+                                                         loss_at(te))))
+                   for te, y in zip(lt, ly) if te <= t)
+
+    def short_rate(t):
+        return (ladder_surface.forward_at(t, 1.0) + drift_integral(t, t, 1.0)
+                + driver_jumps(t, t, 1.0))
+
+    crossed = 0
+    for pos, node in enumerate(report):
+        t = float(grid[node])
+        snap = snaps[node]
+        lv = loss_at(t + 1e-12)
+        assert got[pos][2] == pytest.approx(lv, abs=1e-15)
+        for i, x in enumerate(ladder_surface.barriers):
+            if lv > x:
+                crossed += 1
+                continue
+            for g, T in enumerate(ladder_surface.maturities):
+                if T <= t:
+                    continue
+                want = (drift_integral(t, T, x) + driver_jumps(t, T, x)
+                        + contagion(t, T, x))
+                moved = snap.values[g, i] - ladder_surface.values[g, i]
+                assert moved == pytest.approx(want, abs=1e-8), (t, T, x)
+        assert got[pos][0] == pytest.approx(short_rate(t), abs=1e-8)
+        cuts = np.concatenate([[0.0], jt[jt < t], [t]])
+        disc = sum(quad(short_rate, a, b, epsabs=1e-12, limit=200)[0]
+                   for a, b in zip(cuts[:-1], cuts[1:]))
+        assert got[pos][1] == pytest.approx(disc, abs=1e-8)
+    assert crossed == 2  # x = 0.3 is crossed at the last two report times
 
 
 def test_snapshot_diagonal_is_short_rate_plus_intensity(
@@ -519,6 +590,16 @@ def test_engine_configuration_errors(gauss2, ladder_surface):
     )
     with pytest.raises(ConfigError, match="decomposition"):
         SurfaceEngine(mismatched, gauss2, None, ladder_surface, grid)
+    barrier_dependent = CoefficientSpec(
+        dimension=2, b=lambda t, T, x, ell: np.full(2, 0.05 * x), c=zero_c,
+        b_loss_dependent=False,
+        b_components=build_coefficients(
+            (constant_component([0.05, 0.05]),), no_contagion(),
+            "no_arbitrage", 2,
+        ).b_components,
+    )
+    with pytest.raises(ConfigError, match="barrier-flat"):
+        SurfaceEngine(barrier_dependent, gauss2, None, ladder_surface, grid)
 
 
 def test_engine_grid_errors(ladder_coeffs, gauss2, ladder_surface):
@@ -563,7 +644,7 @@ def test_engine_flags_non_finite_drift(gauss2, ladder_surface):
         rec = _zero_record(grid, 2)
         with pytest.raises(StepError):
             eng.run_chunk(1, 0, 0, [lambda pos, state: None],
-                          [len(grid) - 1], injected=(rec, None), lane="dense")
+                          [len(grid) - 1], injected=(rec, None))
 
 
 def test_evolve_surface_checks_grid(ladder_coeffs, gauss2, ladder_surface):
