@@ -11,9 +11,10 @@ time grid. The scheme:
   times with coefficients evaluated there;
 * the short rate at x = 1 is tracked through the separable decomposition of
   b, so discounting needs no maturity interpolation: its deterministic part
-  uses the identity int_u^tau a(u, s, 1) ds = J(b*(u, tau)) and the
-  stochastic part is assembled from closed-form piecewise integrals split
-  at driver jumps.
+  uses the identity int_u^tau a(u, s, 1) ds = J(b*(u, tau)), and a driver
+  jump at u in step (t_k, t_{k+1}] adds dI·Psi(u, t_{k+1}) to the step's
+  discount integral, with dI = phi(u)·z its accumulator increment and Psi
+  the component maturity integrals.
 
 The path state is separable: the surface is a deterministic part plus
 component accumulators times maturity shapes plus a per-path contagion
@@ -21,15 +22,26 @@ adjustment, so paths carry only those accumulators, the loss level, the
 discount integral and the adjustment. The full surface is materialized
 only at report nodes; per-step work is O(n d) instead of O(n nT nx).
 
+Events are applied from tables built before stepping, not path by path.
+Driver jumps are bucketed by step and enter the accumulators and the
+discount integral with one ``np.add.at`` per step. Loss jumps are bucketed
+by step with their pre-jump levels (per-path cumulative sums of the
+marks); each step applies its loss jumps in groups of equal (pre-jump
+level, mark), with one batched evaluation of the contagion rows and of
+the drift conversion per group. Drift tables are built per loss level,
+over every step's quadrature nodes at once, and cached.
+
 Consequence leaned on by the test suite: with no Brownian part the whole
 scheme has no stepping error, so results are independent of the step size
 up to quadrature tolerance.
 
 Requirements on the coefficients: b must be loss-independent, flat in the
-barrier (``b_x_flat``) and carry its separable x = 1 decomposition (the
-named families provide all three); a callable drift must be
-loss-independent on the x = 1 slice. Barrier-dependent volatility is
-rejected with ConfigError.
+barrier (``b_x_flat``) and carry its separable x = 1 decomposition, whose
+``phi`` and ``psi_integral`` accept arrays of times; with ``b_vectorized``
+the contagion c and its integral must broadcast a column of event times
+against the maturities (the named families provide all of this); a
+callable drift must be loss-independent on the x = 1 slice.
+Barrier-dependent volatility is rejected with ConfigError.
 """
 
 from __future__ import annotations
@@ -57,18 +69,38 @@ __all__ = ["SurfaceEngine", "PathState", "build_master_grid", "evolve_surface"]
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(4)
 
-# Antiderivatives of the Lagrange basis on the reference nodes: partial
-# integrals over [u, 1] of the cubic interpolant through the node values.
-_GL_LAG_PRIM = []
-for _j in range(4):
-    _den = np.prod([_GL_NODES[_j] - _GL_NODES[_k] for _k in range(4) if _k != _j])
-    _poly = np.poly([_GL_NODES[_k] for _k in range(4) if _k != _j]) / _den
-    _GL_LAG_PRIM.append(np.polyint(_poly))
+
+def _gl_primitives() -> np.ndarray:
+    """Coefficients (4, 5), highest power first, of the antiderivatives of
+    the Lagrange basis on the reference nodes."""
+    rows = []
+    for j in range(4):
+        others = [_GL_NODES[k] for k in range(4) if k != j]
+        den = np.prod([_GL_NODES[j] - z for z in others])
+        rows.append(np.polyint(np.poly(others) / den))
+    return np.array(rows)
 
 
-def _gl_partial_weights(u: float) -> np.ndarray:
-    """Weights w with sum_j w_j g(node_j) = int_u^1 (cubic through g) du."""
-    return np.array([np.polyval(P, 1.0) - np.polyval(P, u) for P in _GL_LAG_PRIM])
+_GL_PRIM = _gl_primitives()
+
+
+def _gl_prim_at(u: np.ndarray) -> np.ndarray:
+    """The four antiderivatives at each u by Horner's rule: (len(u), 4).
+
+    The same multiply-add sequence as ``np.polyval``, over an array."""
+    out = np.zeros((len(u), 4))
+    for k in range(_GL_PRIM.shape[1]):
+        out = out * u[:, None] + _GL_PRIM[:, k]
+    return out
+
+
+_GL_PRIM_AT_ONE = _gl_prim_at(np.ones(1))[0]
+
+
+def _gl_partial_weights(u: np.ndarray) -> np.ndarray:
+    """Weights (len(u), 4) with sum_j w_j g(node_j) = int_u^1 (cubic
+    through g) du, one row per reference point u."""
+    return _GL_PRIM_AT_ONE - _gl_prim_at(u)
 
 
 def build_master_grid(horizon: float, dt: float, include=()) -> np.ndarray:
@@ -90,11 +122,6 @@ def build_master_grid(horizon: float, dt: float, include=()) -> np.ndarray:
         n = max(1, math.ceil((b - a) / dt - 1e-9))
         pieces.append(np.linspace(a, b, n + 1)[1:])
     return np.concatenate(pieces)
-
-
-def _gl_nodes(a: float, b: float):
-    mid, half = 0.5 * (a + b), 0.5 * (b - a)
-    return mid + half * _GL_NODES, half * _GL_WEIGHTS
 
 
 @dataclass
@@ -241,44 +268,53 @@ class SurfaceEngine:
                 * np.asarray(comp.phi(t), dtype=float)
         return out
 
-    def _c_rows(self, t: float, x: float, y: float, ell: float) -> np.ndarray:
-        """c(t, T_grid, x, y, ell) with matured columns forced to zero."""
-        out = np.zeros(self.nT)
-        live = self.maturities > t
-        if not live.any() or x >= 1.0:
+    def _live_block(self, ts: np.ndarray):
+        """First maturity column alive for the earliest of the times ts, the
+        maturities from there as an (E, m) table with matured entries set to
+        their row's time, and the live mask."""
+        g0 = int(np.searchsorted(self.maturities, ts.min(), side="right"))
+        col = ts[:, None]
+        live = self.maturities[g0:] > col
+        return g0, np.where(live, self.maturities[g0:], col), live
+
+    def _c_rows(self, ts: np.ndarray, x: float, y: float,
+                ell: float) -> np.ndarray:
+        """c(t_e, T_grid, x, y, ell) for event times ts: (E, nT), with the
+        columns matured at t_e forced to zero."""
+        out = np.zeros((len(ts), self.nT))
+        if x >= 1.0 or ts.min() >= self.maturities[-1]:
             return out
+        g0, Ts, live = self._live_block(ts)
         if self.coeffs.b_vectorized:
-            out[live] = np.asarray(
-                self.coeffs.c(t, self.maturities[live], float(x), float(y), float(ell)),
-                dtype=float,
-            )
+            vals = self.coeffs.c(ts[:, None], Ts, x, y, ell)
+            out[:, g0:] = np.where(live, vals, 0.0)
         else:
-            out[live] = [
-                float(np.asarray(self.coeffs.c(t, float(T), float(x), float(y), float(ell))))
-                for T in self.maturities[live]
-            ]
-        if np.max(np.abs(out)) > self.coeffs.c_bound:
+            for e, g in zip(*np.nonzero(live)):
+                out[e, g0 + g] = float(np.asarray(
+                    self.coeffs.c(float(ts[e]), float(Ts[e, g]), x, y, ell)))
+        over = np.max(np.abs(out), axis=1) > self.coeffs.c_bound
+        if over.any():
             raise BoundError(
-                f"contagion exceeded its declared bound {self.coeffs.c_bound} at t={t}"
+                f"contagion exceeded its declared bound {self.coeffs.c_bound} "
+                f"at t={ts[over][0]}"
             )
         return out
 
-    def _c_star_rows(self, t: float, x: float, y: float, ell: float) -> np.ndarray:
-        out = np.zeros(self.nT)
-        live = self.maturities > t
-        if not live.any() or x >= 1.0:
+    def _c_star_rows(self, ts: np.ndarray, x: float, y: float,
+                     ell: float) -> np.ndarray:
+        """c*(t_e, T_grid, x, y, ell) for times ts: (E, nT), matured zero."""
+        out = np.zeros((len(ts), self.nT))
+        if x >= 1.0 or ts.min() >= self.maturities[-1]:
             return out
+        g0, Ts, live = self._live_block(ts)
         ci = self.coeffs.c_integral
         if ci is not None and self.coeffs.b_vectorized:
-            out[live] = np.asarray(
-                ci(t, t, self.maturities[live], float(x), float(y), float(ell)),
-                dtype=float,
-            )
+            col = ts[:, None]
+            out[:, g0:] = np.where(live, ci(col, col, Ts, x, y, ell), 0.0)
         else:
-            out[live] = [
-                c_star(self.coeffs, t, float(T), float(x), float(y), float(ell))
-                for T in self.maturities[live]
-            ]
+            for e, g in zip(*np.nonzero(live)):
+                out[e, g0 + g] = c_star(self.coeffs, float(ts[e]),
+                                        float(Ts[e, g]), x, y, ell)
         return out
 
     # ----- deterministic drift tables ------------------------------------
@@ -297,61 +333,76 @@ class SurfaceEngine:
             out_rows = out_rows + np.einsum("gd,gd->g", grads, brows)
         return np.broadcast_to(out_rows[:, None], (self.nT, self.nx)).copy()
 
-    def _extra_drift_matrix_at(self, s: float, ell: float) -> np.ndarray:
-        """Loss-level-dependent pointwise drift at time s: contagion part of
-        the no-arbitrage condition plus any user drift callable."""
-        out = np.zeros((self.nT, self.nx))
-        if self.loss_spec is not None and self._no_arb:
-            ys, ws = self.loss_spec.effective_atoms(s, ell)
+    def _extra_drift_matrix_at(self, ss: np.ndarray, ell: float) -> np.ndarray:
+        """Loss-level-dependent pointwise drift at the times ss: (S, nT, nx).
+
+        The contagion part of the no-arbitrage condition plus any user drift
+        callable, at loss level ell."""
+        out = np.zeros((len(ss), self.nT, self.nx))
+        spec = self.loss_spec
+        if spec is not None and self._no_arb:
+            if spec.time_dependent:
+                atoms = [spec.effective_atoms(float(s), ell) for s in ss]
+                ys = atoms[0][0]
+                ws = np.array([w for _, w in atoms]).reshape(len(ss), len(ys))
+            else:
+                ys, w = spec.effective_atoms(float(ss[0]), ell)
+                ws = np.broadcast_to(w, (len(ss), len(ys)))
             for i, x in enumerate(self.barriers):
                 if ell > x:
                     continue  # crossed slice: its value is never read again
-                for y, w in zip(ys, ws):
-                    if w == 0.0 or ell + y > x:
+                for k, y in enumerate(ys):
+                    if ell + y > x or not ws[:, k].any():
                         continue
-                    crow = self._c_rows(s, float(x), float(y), ell)
-                    cstar = self._c_star_rows(s, float(x), float(y), ell)
-                    out[:, i] -= w * crow * np.exp(-cstar)
+                    crow = self._c_rows(ss, float(x), float(y), ell)
+                    cstar = self._c_star_rows(ss, float(x), float(y), ell)
+                    out[:, :, i] -= ws[:, k, None] * crow * np.exp(-cstar)
         if not self._drift_is_tag:
-            for g, T in enumerate(self.maturities):
-                if T <= s:
-                    continue
-                for i, x in enumerate(self.barriers):
-                    out[g, i] += float(self.coeffs.drift(s, float(T), float(x), ell))
+            for j, s in enumerate(ss):
+                for g, T in enumerate(self.maturities):
+                    if T <= s:
+                        continue
+                    for i, x in enumerate(self.barriers):
+                        out[j, g, i] += float(
+                            self.coeffs.drift(float(s), float(T), float(x), ell))
         return out
 
-    def _extra_nodes_step(self, s_idx: int, ell: float):
-        """Node values and full-step integral of the extra drift, cached.
+    def _extra_nodes_step(self, ell: float):
+        """Node values (steps, 4, nT, nx) and per-step integrals
+        (steps, nT, nx) of the extra drift at one loss level, cached.
 
-        Loss levels are sums of mark atoms, so they recur across paths and
-        steps; caching by (step, level) makes the drift cost independent of
-        the path count.
+        Every step's Gauss-Legendre nodes are filled in one pass. Loss
+        levels are sums of mark atoms, so they recur across paths and
+        chunks; caching by level makes the drift cost independent of the
+        path count.
         """
-        key = (s_idx, float(ell))
+        key = float(ell)
         hit = self._extra_cache.get(key)
         if hit is None:
-            nodes, weights = _gl_nodes(float(self.grid[s_idx]),
-                                       float(self.grid[s_idx + 1]))
-            mats = np.stack([self._extra_drift_matrix_at(float(s), ell)
-                             for s in nodes])
-            integral = np.einsum("j,jgx->gx", weights, mats)
+            steps = len(self.grid) - 1
+            mats = self._extra_drift_matrix_at(
+                self._gl_times.reshape(-1), key
+            ).reshape(steps, 4, self.nT, self.nx)
+            integral = np.einsum("sj,sjgx->sgx", self._gl_weights, mats)
             hit = (mats, integral)
             self._extra_cache[key] = hit
         return hit
 
-    def _extra_drift_head(self, s_idx: int, ell: float, when: float) -> np.ndarray:
-        """int_{t0}^{when} of the extra drift, from the step's cached cubic.
+    def _extra_drift_head(self, s_idx: int, ell: float,
+                          when: np.ndarray) -> np.ndarray:
+        """int_{t0}^{when_e} of the extra drift for each time in ``when``
+        inside step s_idx, from the step's cached cubic: (E, nT, nx).
 
         Interpolation error is O(step^5), far below every tolerance the
         engine is used at; the full-interval case reproduces the
         Gauss-Legendre value exactly.
         """
         t0, t1 = float(self.grid[s_idx]), float(self.grid[s_idx + 1])
-        mats, integral = self._extra_nodes_step(s_idx, ell)
+        mats, integral = self._extra_nodes_step(ell)
         half = 0.5 * (t1 - t0)
         u = (when - 0.5 * (t0 + t1)) / half
         w = half * _gl_partial_weights(u)
-        return integral - np.einsum("j,jgx->gx", w, mats)
+        return integral[s_idx] - np.einsum("ej,jgx->egx", w, mats[s_idx])
 
     def _cum_extra(self, ell: float) -> np.ndarray:
         """Node-cumulative extra-drift integrals for one loss level.
@@ -363,22 +414,23 @@ class SurfaceEngine:
         key = float(ell)
         hit = self._cumX_cache.get(key)
         if hit is None:
-            steps = len(self.grid) - 1
-            hit = np.empty((steps + 1, self.nT, self.nx))
-            hit[0] = 0.0
-            for s_idx in range(steps):
-                hit[s_idx + 1] = hit[s_idx] + self._extra_nodes_step(s_idx, key)[1]
+            integral = self._extra_nodes_step(key)[1]
+            hit = np.concatenate([np.zeros((1, self.nT, self.nx)),
+                                  np.cumsum(integral, axis=0)])
             self._cumX_cache[key] = hit
         return hit
 
     def _prepare_step_tables(self):
         steps = len(self.grid) - 1
+        t0, t1 = self.grid[:-1, None], self.grid[1:, None]
+        half = 0.5 * (t1 - t0)
+        self._gl_times = 0.5 * (t0 + t1) + half * _GL_NODES   # (steps, 4)
+        self._gl_weights = half * _GL_WEIGHTS
         base_drift = np.empty((steps, self.nT, self.nx))
         self._phi_left = np.empty((steps, self._ncomp, self.d))
         for s_idx in range(steps):
-            nodes, weights = _gl_nodes(self.grid[s_idx], self.grid[s_idx + 1])
             acc = np.zeros((self.nT, self.nx))
-            for s, w in zip(nodes, weights):
+            for s, w in zip(self._gl_times[s_idx], self._gl_weights[s_idx]):
                 acc += w * self._base_drift_matrix_at(s)
             base_drift[s_idx] = acc
             if np.max(np.abs(self._b_rows(self.grid[s_idx]))) > self.coeffs.b_bound:
@@ -416,13 +468,10 @@ class SurfaceEngine:
                     np.asarray(comp.psi(np.asarray(T, dtype=float)))
                 )
 
-    def _psi_int(self, a: float, b: float) -> np.ndarray:
-        return np.array([float(comp.psi_integral(a, b)) for comp in self._comps])
-
-    def _phi_at(self, t: float) -> np.ndarray:
-        if self._ncomp == 0:
-            return np.zeros((0, self.d))
-        return np.stack([np.asarray(comp.phi(t), dtype=float) for comp in self._comps])
+    def _phi_at(self, ts: np.ndarray) -> np.ndarray:
+        """phi of every component at the times ts: (E, ncomp, d)."""
+        return np.stack([np.asarray(comp.phi(ts), dtype=float)
+                         for comp in self._comps], axis=1)
 
     def _drift_star_rf(self, u: float, tau: float) -> float:
         """int_u^tau [a(u, s, 1) + <b(u, s, 1), m_c>] ds, closed in maturity.
@@ -480,7 +529,9 @@ class SurfaceEngine:
     # ----- path generation -------------------------------------------------
 
     def _draw_levy_events(self, rng, n: int):
-        """Driver jump times/marks for a chunk, in a fixed draw layout."""
+        """Driver jump times/marks for a chunk, in a fixed draw layout.
+
+        Returns (path, time, mark) arrays sorted by path, then time."""
         total = self.triplet.jumps.total_intensity
         empty = (np.empty(0, dtype=int), np.empty(0), np.empty((0, self.d)))
         if total <= 0.0:
@@ -496,17 +547,22 @@ class SurfaceEngine:
             marks = j.atom_z[rng.choice(len(probs), size=(n, m), p=probs)]
         else:
             marks = rng.exponential(1.0 / j.decay, size=(n, m, 1))
-        path_idx, ev_t, ev_z = [], [], []
-        for p in range(n):
-            k = int(counts[p])
-            if k == 0:
-                continue
-            order = np.argsort(times[p, :k], kind="stable")
-            path_idx.extend([p] * k)
-            ev_t.extend(times[p, :k][order].tolist())
-            ev_z.extend(marks[p, :k][order].tolist())
-        return (np.asarray(path_idx, dtype=int), np.asarray(ev_t, dtype=float),
-                np.asarray(ev_z, dtype=float).reshape(-1, self.d))
+        # row p holds counts[p] draws; unused slots sort last
+        used = np.arange(m) < counts[:, None]
+        order = np.argsort(np.where(used, times, np.inf), axis=1, kind="stable")
+        times = np.take_along_axis(times, order, axis=1)[used]
+        marks = np.take_along_axis(marks, order[:, :, None], axis=1)[used]
+        return (np.repeat(np.arange(n), counts), times,
+                marks.reshape(-1, self.d))
+
+    def _step_table(self, times: np.ndarray):
+        """Time order of events, and per-step bounds into it: the event at
+        time u belongs to the step with u in (t_k, t_{k+1}]."""
+        order = np.argsort(times, kind="stable")
+        steps = len(self.grid) - 1
+        step = np.clip(np.searchsorted(self.grid, times[order], side="left") - 1,
+                       0, steps - 1)
+        return order, step, np.searchsorted(step, np.arange(steps + 1))
 
     # ----- main loop ---------------------------------------------------------
 
@@ -522,10 +578,22 @@ class SurfaceEngine:
         deterministic single-path runs; otherwise paths are drawn from the
         chunk's dedicated generator streams.
 
-        Paths never carry the (nT, nx) surface between report nodes. Driver
-        jumps enter through the component accumulators; a loss jump adds
-        its contagion rows and converts the drift history to the new level
-        through cumulative level integrals.
+        All events are drawn before stepping and laid out as two tables,
+        driver jumps and loss jumps, bucketed by step. Paths never carry
+        the (nT, nx) surface between report nodes:
+
+        * a driver jump at u with mark z adds dI = phi(u)·z to the
+          component accumulators and, exactly, dI·Psi(u, t_{k+1}) to the
+          step's discount integral (Psi the component maturity integrals);
+          each step applies its jumps with one ``np.add.at``;
+        * a loss jump adds its contagion rows to the path's adjustment and
+          converts the drift history to the new level through cumulative
+          level integrals. Pre- and post-jump levels come from per-path
+          cumulative sums, and each step handles its loss jumps in groups
+          of equal (pre-jump level, mark), one batched call per group. A
+          path has at most one jump per group, since its level only rises,
+          and groups run in level order, so each path sees its jumps in
+          time order.
         """
         d = self.d
         steps = len(self.grid) - 1
@@ -556,27 +624,36 @@ class SurfaceEngine:
             normals = record.gaussian
             gen_levy = None
 
-        # One merged event table sorted by time, bucketed into steps: the
-        # event at time u belongs to the step with u in (t_k, t_{k+1}].
-        ev_t = np.concatenate([jt, lt])
-        ev_kind = np.concatenate([np.zeros(len(jt), dtype=int),
-                                  np.ones(len(lt), dtype=int)])
-        ev_path = np.concatenate([jp, lp])
-        ev_ref = np.concatenate([np.arange(len(jt), dtype=int),
-                                 np.arange(len(lt), dtype=int)])
-        keep = (ev_t > self.grid[0]) & (ev_t <= self.horizon)
-        ev_t, ev_kind, ev_path, ev_ref = (a[keep] for a in
-                                          (ev_t, ev_kind, ev_path, ev_ref))
-        order = np.argsort(ev_t, kind="stable")
-        ev_t, ev_kind, ev_path, ev_ref = (a[order] for a in
-                                          (ev_t, ev_kind, ev_path, ev_ref))
-        ev_step = np.clip(np.searchsorted(self.grid, ev_t, side="left") - 1,
-                          0, steps - 1)
-        bounds = np.searchsorted(ev_step, np.arange(steps + 1))
+        # driver-jump table: accumulator increments and their exact
+        # discount contributions up to the end of their step
+        keep = (jt > self.grid[0]) & (jt <= self.horizon)
+        order, j_step, j_bounds = self._step_table(jt[keep])
+        jp, jt, jz = (a[keep][order] for a in (jp, jt, jz))
+        if self._ncomp and len(jt):
+            dI = np.einsum("ecd,ed->ec", self._phi_at(jt), jz)
+            t_end = self.grid[j_step + 1]
+            psi_rest = np.stack([comp.psi_integral(jt, t_end)
+                                 for comp in self._comps], axis=1)
+            dR = np.einsum("ec,ec->e", dI, psi_rest)
+
+        # loss-jump table: levels before and after each jump, summed from
+        # 0.0 in path order (the level-keyed caches need these exact floats)
+        keep = (lt > self.grid[0]) & (lt <= self.horizon)
+        lt, ly, lp = lt[keep], ly[keep], lp[keep]
+        if len(lt):
+            counts = np.bincount(lp, minlength=n)
+            slot = np.arange(len(lt)) - (np.cumsum(counts) - counts)[lp]
+            levels = np.zeros((n, int(counts.max())))
+            levels[lp, slot] = ly
+            levels = np.cumsum(levels, axis=1)
+            l_old = np.where(slot > 0, levels[lp, slot - 1], 0.0)
+        else:
+            l_old = np.empty(0)
+        order, _, l_bounds = self._step_table(lt)
+        lt, ly, lp, l_old = (a[order] for a in (lt, ly, lp, l_old))
         report_pos = {int(node): pos for pos, node in enumerate(report_nodes)}
 
         ell = np.zeros(n)
-        level_count = {0.0: n}  # multiset of current loss levels
         R = np.zeros(n)
         I = np.zeros((n, self._ncomp))
         adjust = (np.zeros((n, self.nT, self.nx))
@@ -584,55 +661,35 @@ class SurfaceEngine:
         gauss = bool(np.any(self.triplet.sigma_root)) and self._ncomp > 0
 
         if 0 in report_pos:
-            self._emit_assembled(collectors, report_pos[0], 0, ell,
-                                 level_count, R, I, adjust, n, path_offset)
+            self._emit_assembled(collectors, report_pos[0], 0, ell, R, I,
+                                 adjust, n, path_offset)
 
         for s_idx in range(steps):
             t0, t1 = float(self.grid[s_idx]), float(self.grid[s_idx + 1])
             dt = t1 - t0
 
-            rate_pieces: dict = {}
-            for e in range(bounds[s_idx], bounds[s_idx + 1]):
-                when = float(ev_t[e])
-                p = int(ev_path[e])
-                if ev_kind[e] == 0:
-                    if self._ncomp:
-                        rate_pieces.setdefault(p, []).append(
-                            (when, self._phi_at(when) @ jz[ev_ref[e]])
-                        )
-                else:
-                    y = float(ly[ev_ref[e]])
-                    old = float(ell[p])
-                    new = old + y
-                    for i, x in enumerate(self.barriers):
-                        adjust[p, :, i] += self._c_rows(when, float(x), y, old)
-                    if self._has_extra:
-                        adjust[p] += (self._cum_extra(old)[s_idx]
-                                      - self._cum_extra(new)[s_idx]
-                                      + self._extra_drift_head(s_idx, old, when)
-                                      - self._extra_drift_head(s_idx, new, when))
-                    ell[p] = new
-                    level_count[old] -= 1
-                    if not level_count[old]:
-                        del level_count[old]
-                    level_count[new] = level_count.get(new, 0) + 1
+            lo, hi = l_bounds[s_idx], l_bounds[s_idx + 1]
+            if hi > lo:
+                keys, group = np.unique(
+                    np.stack([l_old[lo:hi], ly[lo:hi]], axis=1), axis=0,
+                    return_inverse=True)
+                group = group.reshape(-1)
+                for g, (old, y) in enumerate(keys):
+                    members = lo + np.flatnonzero(group == g)
+                    self._apply_loss_jumps(s_idx, float(old), float(y),
+                                           lt[members], lp[members], ell,
+                                           adjust)
 
             # discount integral over the step: deterministic part plus the
-            # accumulator part (frozen at step entry except at driver jumps)
+            # accumulator part, frozen at step entry and corrected exactly
+            # for the step's driver jumps
             R += self._cumG[s_idx + 1] - self._cumG[s_idx]
             if self._ncomp:
                 R += I @ self._psi_int_step[s_idx]
-                for p, pieces in rate_pieces.items():
-                    cur = t0
-                    exact = 0.0
-                    Ip = I[p].copy()
-                    for when, dI in pieces:
-                        exact += float(Ip @ self._psi_int(cur, when))
-                        Ip = Ip + dI
-                        cur = when
-                    exact += float(Ip @ self._psi_int(cur, t1))
-                    R[p] += exact - float(I[p] @ self._psi_int_step[s_idx])
-                    I[p] = Ip
+                lo, hi = j_bounds[s_idx], j_bounds[s_idx + 1]
+                if hi > lo:
+                    np.add.at(R, jp[lo:hi], dR[lo:hi])
+                    np.add.at(I, jp[lo:hi], dI[lo:hi])
                 # Brownian part, loading frozen at the step's left endpoint
                 if normals is not None:
                     dW = np.broadcast_to(normals[s_idx], (n, d))
@@ -648,19 +705,36 @@ class SurfaceEngine:
             node = s_idx + 1
             if node in report_pos:
                 self._emit_assembled(collectors, report_pos[node], node, ell,
-                                     level_count, R, I, adjust, n, path_offset)
+                                     R, I, adjust, n, path_offset)
 
-    def _emit_assembled(self, collectors, pos, node, ell, level_count, R, I,
-                        adjust, n, offset):
+    def _apply_loss_jumps(self, s_idx: int, old: float, y: float,
+                          when: np.ndarray, paths: np.ndarray, ell: np.ndarray,
+                          adjust: np.ndarray) -> None:
+        """Loss jumps of size y from level ``old`` at the times ``when`` in
+        step s_idx, one per path in ``paths``: contagion rows, then the
+        drift history converted to the new level."""
+        new = old + y
+        for i, x in enumerate(self.barriers):
+            adjust[paths, :, i] += self._c_rows(when, float(x), y, old)
+        if self._has_extra:
+            adjust[paths] += ((self._cum_extra(old)[s_idx]
+                               - self._cum_extra(new)[s_idx])
+                              + self._extra_drift_head(s_idx, old, when)
+                              - self._extra_drift_head(s_idx, new, when))
+        ell[paths] = new
+
+    def _emit_assembled(self, collectors, pos, node, ell, R, I, adjust, n,
+                        offset):
         """Materialize the chunk's surfaces at a report node and hand the
         state to the collectors."""
         vals = np.empty((n, self.nT, self.nx))
         vals[:] = self.surface0.values + self.base_cum[node]
         if self._has_extra:
-            if len(level_count) == 1:
-                vals += self._cum_extra(next(iter(level_count)))[node]
+            levels = np.unique(ell)
+            if len(levels) == 1:
+                vals += self._cum_extra(levels[0])[node]
             else:
-                for lv in level_count:
+                for lv in levels:
                     vals[ell == lv] += self._cum_extra(lv)[node]
         if self._ncomp:
             vals += (I @ self._psi_T)[:, :, None]

@@ -45,12 +45,17 @@ __all__ = [
 
 @dataclass(frozen=True)
 class VolComponent:
-    """One additive volatility term: b contribution = vector * phi(t) * psi(T)."""
+    """One additive volatility term: b contribution = vector * phi(t) * psi(T).
+
+    ``phi`` returns a float for a float time and an array for an array of
+    times; ``psi_integral(a, b)`` broadcasts over a and b (see
+    ``SeparableComponent``).
+    """
 
     vector: np.ndarray
-    phi: Callable[[float], float]
+    phi: Callable
     psi: Callable[[np.ndarray], np.ndarray]
-    psi_integral: Callable[[float, float], float]
+    psi_integral: Callable
 
     def shape(self, t: float, T) -> np.ndarray:
         return self.phi(t) * self.psi(np.asarray(T, dtype=float))
@@ -59,12 +64,23 @@ class VolComponent:
         return self.phi(t) * self.psi_integral(a, b)
 
     def separable(self) -> SeparableComponent:
-        vec = self.vector
-        return SeparableComponent(
-            phi=lambda t, _v=vec, _p=self.phi: _v * _p(t),
-            psi=self.psi,
-            psi_integral=self.psi_integral,
-        )
+        vec, shape = self.vector, self.phi
+
+        def phi(t):
+            p = shape(t)
+            if isinstance(p, float):
+                return vec * p
+            return p[..., None] * vec
+
+        return SeparableComponent(phi=phi, psi=self.psi,
+                                  psi_integral=self.psi_integral)
+
+
+def _unit_phi(t):
+    """phi = 1: a float for a float time, ones for an array of times."""
+    if isinstance(t, float):
+        return 1.0
+    return np.ones(np.shape(t))
 
 
 def constant_component(vector) -> VolComponent:
@@ -72,7 +88,7 @@ def constant_component(vector) -> VolComponent:
     vec = np.asarray(vector, dtype=float)
     return VolComponent(
         vector=vec,
-        phi=lambda t: 1.0,
+        phi=_unit_phi,
         psi=lambda T: np.ones_like(np.asarray(T, dtype=float)),
         psi_integral=lambda a, b: b - a,
     )
@@ -83,9 +99,15 @@ def exp_decay_component(vector, decay: float) -> VolComponent:
     if decay <= 0:
         raise ConfigError(f"decay must be positive, got {decay}")
     vec = np.asarray(vector, dtype=float)
+
+    def phi(t):
+        if isinstance(t, float):
+            return float(np.exp(decay * t))
+        return np.exp(decay * np.asarray(t, dtype=float))
+
     return VolComponent(
         vector=vec,
-        phi=lambda t: float(np.exp(decay * t)),
+        phi=phi,
         psi=lambda T: np.exp(-decay * np.asarray(T, dtype=float)),
         psi_integral=lambda a, b: (np.exp(-decay * a) - np.exp(-decay * b)) / decay,
     )
@@ -114,13 +136,12 @@ def step_component(vector, knots: Sequence[float], scales: Sequence[float]) -> V
         return out
 
     def psi_integral(a, b):
-        b_arr = np.asarray(b, dtype=float)
-        lo = np.maximum(kn[:-1], a)
-        hi = np.minimum(kn[1:], b_arr[..., None])
+        lo = np.maximum(kn[:-1], np.asarray(a, dtype=float)[..., None])
+        hi = np.minimum(kn[1:], np.asarray(b, dtype=float)[..., None])
         out = np.sum(sc * np.clip(hi - lo, 0.0, None), axis=-1)
-        return out if b_arr.ndim else float(out)
+        return out if out.ndim else float(out)
 
-    return VolComponent(vector=vec, phi=lambda t: 1.0, psi=psi,
+    return VolComponent(vector=vec, phi=_unit_phi, psi=psi,
                         psi_integral=psi_integral)
 
 

@@ -67,15 +67,18 @@ def _node_index(grid: np.ndarray, t: float) -> Optional[int]:
 class SeparableComponent:
     """One separable piece of the x = 1 volatility: b adds phi(t) * psi(T).
 
-    ``phi`` maps t to a (d,) vector, ``psi`` maps maturity to a scalar shape,
-    and ``psi_integral(a, b)`` is the exact integral of psi over [a, b]. The
-    decomposition lets the simulation track the short rate without ever
-    interpolating the maturity grid toward the diagonal.
+    ``phi`` takes a scalar time or a 1-d array of E times and returns a
+    (d,) vector or an (E, d) array; ``psi`` maps maturities to scalar
+    shapes; ``psi_integral(a, b)`` is the exact integral of psi over
+    [a, b] and broadcasts over arrays of a and of b. The decomposition lets
+    the simulation track the short rate without ever interpolating the
+    maturity grid toward the diagonal, and the array forms let it apply a
+    batch of driver jumps at once.
     """
 
-    phi: Callable[[float], np.ndarray]
+    phi: Callable
     psi: Callable[[np.ndarray], np.ndarray]
-    psi_integral: Callable[[float, float], float]
+    psi_integral: Callable
 
 
 @dataclass(frozen=True)
@@ -90,7 +93,9 @@ class CoefficientSpec:
     Optional exact maturity integrals make b*, c* quadrature-free; the named
     scenario families always provide them. ``b_components`` is the separable
     decomposition of b at x = 1. ``b_vectorized`` promises that b and c (and
-    the integrals) broadcast over an array of maturities; ``b_x_flat``
+    the integrals) broadcast over an array of maturities, and that c and
+    ``c_integral`` also broadcast a column of times (E, 1) against it, so
+    the engine evaluates a batch of loss events in one call; ``b_x_flat``
     promises that b does not depend on the barrier at all, so the x = 1
     decomposition describes every slice. ``SurfaceEngine`` requires
     ``b_components`` and ``b_x_flat`` (and loss-independent b); the

@@ -248,13 +248,19 @@ def simulate_loss_paths_bulk(spec: LossCompensatorSpec, horizon: float,
     round draws one exponential, one acceptance uniform and one mark uniform
     per still-active path, whether or not the proposal is accepted), so
     results depend only on the generator state, never on scheduling.
+
+    Each round groups the paths still inside the horizon by loss level.
+    For a time-independent spec, ``effective_atoms`` runs once per distinct
+    level, and acceptance and mark choice run as array operations on the
+    group; a time-dependent spec still costs one call per path. Either
+    way every path meets the same arithmetic as a path-by-path loop, so the
+    output is bit-identical to one.
     """
     if spec.max_rate <= 0:
         return np.empty(0), np.empty(0), np.zeros(n_paths, dtype=int)
     t = np.zeros(n_paths)
     ell = np.zeros(n_paths)
-    out_t = [[] for _ in range(n_paths)]
-    out_y = [[] for _ in range(n_paths)]
+    ev_p, ev_t, ev_y = [], [], []
     active = np.arange(n_paths)
     while len(active):
         gaps = rng.exponential(1.0 / spec.max_rate, size=len(active))
@@ -262,26 +268,41 @@ def simulate_loss_paths_bulk(spec: LossCompensatorSpec, horizon: float,
         u_mark = rng.uniform(size=len(active))
         t[active] = t[active] + gaps
         alive = t[active] <= horizon
-        idx = active[alive]
-        for j, path in enumerate(idx):
-            ys, ws = spec.effective_atoms(t[path], ell[path])
+        active = active[alive]
+        u_acc, u_mark = u_acc[alive], u_mark[alive]
+        if spec.time_dependent:
+            groups = [np.array([j]) for j in range(len(active))]
+        else:
+            levels, inv = np.unique(ell[active], return_inverse=True)
+            groups = [np.flatnonzero(inv == g) for g in range(len(levels))]
+        for members in groups:
+            first = active[members[0]]
+            ys, ws = spec.effective_atoms(t[first], ell[first])
             total = ws.sum()
             if total > spec.max_rate * (1.0 + _RATE_TOL):
                 raise BoundError(
                     f"effective intensity {total:.6g} exceeds declared "
-                    f"majorant {spec.max_rate:.6g} at t={t[path]:.6g}"
+                    f"majorant {spec.max_rate:.6g} at t={t[first]:.6g}"
                 )
-            if u_acc[alive][j] * spec.max_rate < total:
-                cum = np.cumsum(ws / total)
-                y = ys[np.searchsorted(cum, u_mark[alive][j], side="right").clip(0, len(ys) - 1)]
-                out_t[path].append(t[path])
-                out_y[path].append(y)
-                ell[path] += y
-        active = active[alive]
-    counts = np.array([len(v) for v in out_t], dtype=int)
-    flat_t = np.concatenate([np.asarray(v) for v in out_t if v] or [np.empty(0)])
-    flat_y = np.concatenate([np.asarray(v) for v in out_y if v] or [np.empty(0)])
-    return flat_t, flat_y, counts
+            hit = members[u_acc[members] * spec.max_rate < total]
+            if not len(hit):
+                continue
+            cum = np.cumsum(ws / total)
+            pick = np.searchsorted(cum, u_mark[hit], side="right")
+            y = ys[pick.clip(0, len(ys) - 1)]
+            paths = active[hit]
+            ev_p.append(paths)
+            ev_t.append(t[paths])
+            ev_y.append(y)
+            ell[paths] += y
+    if not ev_p:
+        return np.empty(0), np.empty(0), np.zeros(n_paths, dtype=int)
+    # rounds run forward in time, so a stable sort by path keeps each
+    # path's events in time order
+    paths = np.concatenate(ev_p)
+    order = np.argsort(paths, kind="stable")
+    counts = np.bincount(paths, minlength=n_paths)
+    return np.concatenate(ev_t)[order], np.concatenate(ev_y)[order], counts
 
 
 def mx_compensated(path: LossPath, x: float, spec: LossCompensatorSpec,

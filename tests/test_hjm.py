@@ -22,6 +22,7 @@ from levycdo.families import (
     constant_component,
     exp_decay_component,
     flat_contagion,
+    ladder_bond_survival,
     ladder_contagion,
     no_contagion,
     step_component,
@@ -39,7 +40,8 @@ from levycdo.hjm import (
     riskfree_drift,
 )
 from levycdo.levy import JumpMeasureSpec, LevyPathRecord, LevyTriplet
-from levycdo.loss import LossCompensatorSpec, LossPath
+from levycdo.loss import LossCompensatorSpec, LossPath, simulate_loss_paths_bulk
+from levycdo.rng import STREAM_LEVY, STREAM_LOSS, chunk_generator
 
 from conftest import LADDER_MARK, LADDER_RATE, jump_only_triplet, make_ladder_surface
 
@@ -140,6 +142,50 @@ def test_step_component_integral_is_exact():
     assert arr[0] == pytest.approx(want, rel=1e-14)
     assert arr[1] == pytest.approx(2.0 * 0.25 + 0.5 * 0.5 + 3.0 * 0.5, rel=1e-14)
     assert comp.psi_integral(0.0, 0.4) == pytest.approx(0.0, abs=1e-300)
+
+
+def _same_bits(got, want) -> bool:
+    got, want = np.asarray(got, dtype=float), np.asarray(want, dtype=float)
+    return got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("comp", [
+    constant_component([0.02, -0.01]),
+    exp_decay_component([0.0, 0.016], 0.4),
+    step_component([0.015, 0.01], [0.5, 1.0, 1.5, 2.0], [2.0, 0.5, 3.0]),
+], ids=["constant", "exp_decay", "step"])
+def test_component_array_calls_match_scalar_calls(comp):
+    """phi over an array of times and psi_integral over an array of lower
+    limits equal the stacked scalar calls, bit for bit."""
+    ts = np.array([0.0, 0.3, 0.75, 1.2, 1.9])
+    ends = ts + np.array([0.6, 0.1, 1.4, 0.3, 0.05])
+    sep = comp.separable()
+    assert _same_bits(comp.phi(ts), [comp.phi(float(t)) for t in ts])
+    assert _same_bits(sep.phi(ts), np.stack([sep.phi(float(t)) for t in ts]))
+    assert sep.phi(ts).shape == (len(ts), 2)
+    assert _same_bits(comp.psi_integral(ts, 2.0),
+                      [comp.psi_integral(float(a), 2.0) for a in ts])
+    assert _same_bits(comp.psi_integral(ts, ends),
+                      [comp.psi_integral(float(a), float(b))
+                       for a, b in zip(ts, ends)])
+
+
+def test_ladder_bond_survival_is_poisson_cdf():
+    """q(T - t; k) = P(Poisson(rate (T - t)) <= k) = exp(-int s), with the
+    cushion k = floor((x - ell) / mark) counted by hand."""
+    from scipy.stats import poisson
+
+    surv = ladder_bond_survival(LADDER_RATE, LADDER_MARK)
+    t, T = 0.2, np.array([0.5, 1.0, 2.5, 3.0])
+    for x, ell, k in ((0.3, 0.0, 1), (0.55, 0.17, 2), (0.55, 0.0, 3)):
+        got = surv(t, T, x, ell)
+        np.testing.assert_allclose(
+            got, poisson.cdf(k, LADDER_RATE * (T - t)), rtol=1e-13, atol=0)
+        np.testing.assert_allclose(
+            got, np.exp(-ladder.hazard_spread_integral(T - t, k, LADDER_RATE)),
+            rtol=1e-13, atol=0)
+    np.testing.assert_array_equal(surv(t, T, 1.0, 0.34), 1.0)
+    np.testing.assert_array_equal(surv(t, T, 0.3, 0.34), 0.0)
 
 
 def test_build_coefficients_integral_consistency():
@@ -543,6 +589,139 @@ def test_evolution_with_jumps_is_drift_reintegration(ladder_coeffs,
                    for a, b in zip(cuts[:-1], cuts[1:]))
         assert got[pos][1] == pytest.approx(disc, abs=1e-8)
     assert crossed == 2  # x = 0.3 is crossed at the last two report times
+
+
+def test_driver_draws_are_sorted_per_path(ladder_coeffs, ladder_surface):
+    """The chunk's driver jumps: counts, then times, then marks from one
+    generator, each path's draws sorted by time with their marks."""
+    trip = LevyTriplet(
+        m=np.zeros(2), sigma=np.zeros((2, 2)),
+        jumps=JumpMeasureSpec.compound_poisson(
+            3.0, [([0.3, -0.2], 0.6), ([-0.1, 0.4], 0.4)]),
+    )
+    eng = SurfaceEngine(ladder_coeffs, trip, None, ladder_surface,
+                        build_master_grid(1.0, 0.25))
+    n = 40
+    jp, jt, jz = eng._draw_levy_events(chunk_generator(3, STREAM_LEVY, 1), n)
+    rng = chunk_generator(3, STREAM_LEVY, 1)
+    counts = rng.poisson(3.0, size=n)
+    m = counts.max()
+    times = rng.uniform(0.0, 1.0, size=(n, m))
+    marks = trip.jumps.atom_z[rng.choice(2, size=(n, m), p=[0.6, 0.4])]
+    want_p, want_t, want_z = [], [], []
+    for p in range(n):
+        order = np.argsort(times[p, :counts[p]], kind="stable")
+        want_p += [p] * counts[p]
+        want_t += list(times[p, :counts[p]][order])
+        want_z += list(marks[p, :counts[p]][order])
+    np.testing.assert_array_equal(jp, want_p)
+    np.testing.assert_array_equal(jt, want_t)
+    np.testing.assert_array_equal(jz, np.reshape(want_z, (-1, 2)))
+
+
+def test_chunk_paths_match_single_path_runs():
+    """A path of a drawn chunk equals the same path run alone.
+
+    Pure-jump driver and a loss rate high enough that some paths take two
+    loss jumps in one step: the chunk's batched event tables must give
+    each path what a one-path run with its own draws injected gives.
+    """
+    trip = jump_only_triplet()
+    rate, mark = 4.0, 0.1
+    coeffs = build_coefficients(
+        (constant_component([0.018]), exp_decay_component([0.012], 0.5)),
+        ladder_contagion(rate, mark), "no_arbitrage", 1,
+    )
+    spec = LossCompensatorSpec.constant(rate, [(mark, 1.0)])
+    surf = make_ladder_surface(horizon=2.0, n_nodes=17, barriers=(0.25, 0.55, 1.0))
+    grid = build_master_grid(1.0, 0.25)
+    eng = SurfaceEngine(coeffs, trip, spec, surf, grid)
+    report = [2, 4]
+    n, seed = 64, 13
+
+    def grab(store):
+        def collect(pos, state):
+            store[pos] = (state.values.copy(), state.discount_log.copy(),
+                          state.short_rate.copy(), state.loss.copy())
+        return collect
+
+    chunk = {}
+    eng.run_chunk(n, seed, 0, [grab(chunk)], report)
+    jp, jt, jz = eng._draw_levy_events(chunk_generator(seed, STREAM_LEVY, 0), n)
+    lt, ly, counts = simulate_loss_paths_bulk(
+        spec, 1.0, chunk_generator(seed, STREAM_LOSS, 0), n)
+    lp = np.repeat(np.arange(n), counts)
+    step = np.searchsorted(grid, lt, side="left") - 1
+    doubled = [p for p in range(n)
+               if np.any(np.bincount(step[lp == p]) >= 2) and np.any(jp == p)]
+    j_step = np.searchsorted(grid, jt, side="left") - 1
+    driven = [p for p in range(n) if np.any(np.bincount(j_step[jp == p]) >= 2)]
+    assert len(doubled) >= 2 and driven
+    quiet = [p for p in range(n) if counts[p] == 0]
+    for p in doubled[:3] + driven[:1] + quiet[:1]:
+        rec = _zero_record(grid, 1, jt[jp == p], jz[jp == p],
+                           trip.small_jump_mean)
+        single = {}
+        eng.run_chunk(1, 0, 0, [grab(single)], report,
+                      injected=(rec, LossPath(lt[lp == p], ly[lp == p], 1.0)))
+        for pos in range(len(report)):
+            vals, disc, rate_, loss = chunk[pos]
+            s_vals, s_disc, s_rate, s_loss = single[pos]
+            np.testing.assert_allclose(s_vals[0], vals[p], atol=1e-12, rtol=0)
+            assert abs(s_disc[0] - disc[p]) <= 1e-12
+            assert abs(s_rate[0] - rate_[p]) <= 1e-12
+            assert s_loss[0] == loss[p]
+
+
+def test_callable_drift_with_loss_level_is_reintegrated(gauss2, ladder_loss,
+                                                        ladder_surface):
+    """A user drift a(t, T, x, ell) runs at the piecewise-constant level.
+
+    No Brownian part and two injected loss jumps inside steps (the second
+    crosses x = 0.3): on every alive slice f(t,T,x) - f(0,T,x) equals the
+    quadrature of a(s, T, x, L_s) plus the contagion jumps.
+    """
+    import dataclasses
+
+    def drift(t, T, x, ell):
+        # loss-free on the x = 1 slice, as the engine requires
+        return (0.002 * np.cos(t) * np.exp(-0.2 * T)
+                + (1.0 - x) * 0.01 * ell * (1.0 + t * T))
+
+    base = build_coefficients(
+        (constant_component([0.022, 0.0]), exp_decay_component([0.0, 0.016], 0.4)),
+        ladder_contagion(LADDER_RATE, LADDER_MARK), "no_arbitrage", 2,
+    )
+    coeffs = dataclasses.replace(base, drift=drift)
+    grid = build_master_grid(1.0, 1.0 / 8)
+    lt, ly = np.array([0.3, 0.7]), np.full(2, LADDER_MARK)
+    snaps = evolve_surface(ladder_surface, coeffs, gauss2, ladder_loss,
+                           _zero_record(grid, 2), LossPath(lt, ly, 1.0), grid)
+    levels = np.concatenate([[0.0], np.cumsum(ly)])
+
+    def loss_at(s):
+        return float(levels[np.searchsorted(lt, s, side="left")])
+
+    checked = 0
+    for node in (4, 8):
+        t = float(grid[node])
+        cuts = np.concatenate([[0.0], lt[lt < t], [t]])
+        for i, x in enumerate(ladder_surface.barriers):
+            if loss_at(t + 1e-12) > x:
+                continue
+            for g, T in enumerate(ladder_surface.maturities):
+                if T <= t:
+                    continue
+                want = sum(quad(lambda s: drift(s, T, x, loss_at(s)), a, b,
+                                epsabs=1e-13, epsrel=1e-12)[0]
+                           for a, b in zip(cuts[:-1], cuts[1:]))
+                want += sum(float(np.asarray(coeffs.eval_c(te, T, x, y,
+                                                           loss_at(te))))
+                            for te, y in zip(lt, ly) if te <= t)
+                moved = snaps[node].values[g, i] - ladder_surface.values[g, i]
+                assert moved == pytest.approx(want, abs=1e-8), (t, T, x)
+                checked += 1
+    assert checked > 0
 
 
 def test_snapshot_diagonal_is_short_rate_plus_intensity(

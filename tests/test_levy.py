@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.integrate import quad
 from scipy.stats import kstest
 
 from levycdo.errors import DimensionError, DomainError, RngError
@@ -12,6 +13,7 @@ from levycdo.levy import (
     JumpMeasureSpec,
     LevyTriplet,
     in_domain_B,
+    jump_exp_moment,
     laplace_exponent,
     laplace_gradient,
     laplace_gradient_rows,
@@ -273,3 +275,27 @@ def test_chunk_streams_are_distinct_and_reproducible():
     for other in (chunk_generator(5, 1, 0), chunk_generator(5, 0, 1),
                   chunk_generator(6, 0, 0), single_generator(5)):
         assert not np.array_equal(base, other.standard_normal(8))
+
+
+def test_jump_exp_moment_is_the_jump_transform():
+    """int exp(-<u, z>) nu(dz): a weighted atom sum for atomic measures, and
+    rate * decay / (u + decay) for exponential jumps, checked by quadrature;
+    it diverges for u <= -decay."""
+    atoms = [([0.3, -0.2], 0.6), ([-0.1, 0.4], 0.4)]
+    trip = LevyTriplet(m=np.zeros(2), sigma=np.zeros((2, 2)),
+                       jumps=JumpMeasureSpec.compound_poisson(1.5, atoms))
+    u = np.array([0.7, -1.1])
+    want = sum(1.5 * p * np.exp(-np.dot(u, z)) for z, p in atoms)
+    assert jump_exp_moment(u, trip) == pytest.approx(want, rel=1e-14)
+
+    rate, decay = 2.0, 3.0
+    expo = LevyTriplet(m=np.zeros(1), sigma=np.zeros((1, 1)),
+                       jumps=JumpMeasureSpec.exponential(rate, decay))
+    for v in (-2.5, 0.0, 1.7):
+        num, _ = quad(lambda z: rate * decay * np.exp(-(decay + v) * z),
+                      0.0, np.inf, epsabs=1e-13, epsrel=1e-12)
+        assert jump_exp_moment(np.array([v]), expo) == pytest.approx(num,
+                                                                     rel=1e-10)
+    for v in (-decay, -decay - 0.5):
+        with pytest.raises(DomainError):
+            jump_exp_moment(np.array([v]), expo)

@@ -172,6 +172,70 @@ def test_bulk_is_deterministic_per_stream():
         np.testing.assert_array_equal(x, y)
 
 
+def _bulk_path_by_path(spec, horizon, rng, n_paths):
+    """Reference thinning: the same draw layout, one path at a time."""
+    t = np.zeros(n_paths)
+    ell = np.zeros(n_paths)
+    out_t = [[] for _ in range(n_paths)]
+    out_y = [[] for _ in range(n_paths)]
+    active = np.arange(n_paths)
+    while len(active):
+        gaps = rng.exponential(1.0 / spec.max_rate, size=len(active))
+        u_acc = rng.uniform(size=len(active))
+        u_mark = rng.uniform(size=len(active))
+        t[active] = t[active] + gaps
+        alive = t[active] <= horizon
+        for path, ua, um in zip(active[alive], u_acc[alive], u_mark[alive]):
+            ys, ws = spec.effective_atoms(t[path], ell[path])
+            total = ws.sum()
+            if ua * spec.max_rate < total:
+                cum = np.cumsum(ws / total)
+                y = ys[np.searchsorted(cum, um, side="right").clip(0, len(ys) - 1)]
+                out_t[path].append(t[path])
+                out_y[path].append(y)
+                ell[path] += y
+        active = active[alive]
+    counts = np.array([len(v) for v in out_t], dtype=int)
+    flat_t = np.array([u for v in out_t for u in v], dtype=float)
+    flat_y = np.array([y for v in out_y for y in v], dtype=float)
+    return flat_t, flat_y, counts
+
+
+@pytest.mark.parametrize("spec", [
+    LossCompensatorSpec.constant(0.35, [(0.17, 1)]),
+    # the 0.45 atom is removed by the support rule once the loss passes 0.55
+    LossCompensatorSpec.affine(0.8, 1.5, [(0.3, 0.6), (0.45, 0.4)]),
+    LossCompensatorSpec.from_callable(lambda t, l: 0.5 + 0.4 * t + l,
+                                      [(0.1, 0.5), (0.25, 0.5)], max_rate=3.0,
+                                      time_dependent=True),
+], ids=["ladder", "affine_support_rule", "time_dependent"])
+def test_bulk_thinning_matches_path_by_path(spec):
+    """Grouping paths by loss level changes no draw and no float."""
+    import warnings
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        got = simulate_loss_paths_bulk(
+            spec, 3.0, chunk_generator(5, STREAM_LOSS, 2), 2000)
+        want = _bulk_path_by_path(
+            spec, 3.0, chunk_generator(5, STREAM_LOSS, 2), 2000)
+    assert want[2].max() >= 3  # paths pass through several loss levels
+    for g, w in zip(got, want):
+        assert g.dtype == w.dtype
+        np.testing.assert_array_equal(g, w)
+
+
+@pytest.mark.parametrize("time_dependent", [False, True])
+def test_bulk_thinning_respects_declared_majorant(time_dependent):
+    spec = LossCompensatorSpec.from_callable(
+        lambda t, l: 2.0, [(0.1, 1.0)], max_rate=1.0,
+        time_dependent=time_dependent,
+    )
+    with pytest.raises(BoundError, match="majorant"):
+        simulate_loss_paths_bulk(spec, 10.0, chunk_generator(1, STREAM_LOSS, 0),
+                                 32)
+
+
 def test_compensated_indicator_trivial_cases():
     """M is identically one when nothing can happen: zero rate, or x = 1."""
     quiet = LossCompensatorSpec.constant(0.0, [(0.5, 1.0)])

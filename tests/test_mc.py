@@ -12,8 +12,11 @@ from levycdo.families import (
     no_contagion,
 )
 from levycdo.hjm import ForwardSurface
+from levycdo.levy import JumpMeasureSpec, LevyTriplet
 from levycdo.mc import _MIN_PATHS, convergence_sweep, run_martingale_test
 from levycdo.rng import CHUNK_SIZE
+
+from conftest import make_ladder_surface
 
 HORIZON = 1.0
 REPORT_TIMES = (0.5, 1.0)
@@ -58,18 +61,39 @@ def test_sweep_rows_match_martingale_test(gauss_scenario):
         assert row.worst_se == rep.std_errors[it, im]
 
 
-def test_martingale_csv_is_thread_invariant(gauss_scenario):
-    """Chunk partials reduce in a fixed tree: the CSV does not depend on
-    the worker count."""
+@pytest.fixture
+def jump_loss_scenario(ladder_coeffs, ladder_loss):
+    """Driver jumps on a Gaussian driver, ladder contagion and ladder loss."""
+    trip = LevyTriplet(
+        m=np.zeros(2), sigma=np.array([[1.0, 0.3], [0.3, 1.0]]),
+        jumps=JumpMeasureSpec.compound_poisson(
+            1.0, [([0.3, -0.2], 0.6), ([-0.1, 0.4], 0.4)]),
+    )
+    return dict(coeffs=ladder_coeffs, triplet=trip, loss_spec=ladder_loss,
+                surface0=make_ladder_surface())
+
+
+def _csv_by_threads(model) -> dict:
     n_paths = 2 * _MIN_PATHS
     assert n_paths > CHUNK_SIZE  # more than one chunk to schedule
     grid = build_master_grid(HORIZON, 0.25, include=REPORT_TIMES)
-    csv = {
+    return {
         threads: run_martingale_test(n_paths=n_paths, time_grid=grid,
                                      targets=TARGETS, seed=5,
                                      report_times=REPORT_TIMES,
-                                     threads=threads,
-                                     **gauss_scenario).to_csv()
+                                     threads=threads, **model).to_csv()
         for threads in (1, 2)
     }
+
+
+def test_martingale_csv_is_thread_invariant(gauss_scenario):
+    """Chunk partials reduce in a fixed tree: the CSV does not depend on
+    the worker count."""
+    csv = _csv_by_threads(gauss_scenario)
+    assert csv[1] == csv[2]
+
+
+def test_martingale_csv_is_thread_invariant_with_events(jump_loss_scenario):
+    """The same with driver jumps and ladder loss jumps in every chunk."""
+    csv = _csv_by_threads(jump_loss_scenario)
     assert csv[1] == csv[2]
