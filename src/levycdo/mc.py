@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -71,9 +72,14 @@ _MIN_PATHS = 10_000
 def thread_count(requested: Optional[int] = None) -> int:
     """Worker threads: explicit argument, else LEVYCDO_THREADS, else 1."""
     if requested is not None:
-        if requested < 1:
-            raise ConfigError(f"thread count must be positive, got {requested}")
-        return int(requested)
+        try:
+            n = operator.index(requested)
+        except TypeError:
+            raise ConfigError(
+                f"thread count must be an integer, got {requested!r}") from None
+        if n < 1:
+            raise ConfigError(f"thread count must be positive, got {n}")
+        return n
     env = os.environ.get("LEVYCDO_THREADS", "").strip()
     if env:
         try:
@@ -897,32 +903,105 @@ class StcdoMcResult:
     manifest: dict
 
 
+def _discount_table(surface0: ForwardSurface):
+    """(knots, values, cumulative exponent) of the live x = 1 forward curve.
+
+    The cumulative column is the trapezoid integral from the observation
+    time to each knot, the same rule as ``maturity_integral``; between
+    knots the exponent is the piecewise-quadratic integral of the linear
+    interpolant, as in the closed-form accrual leg.
+    """
+    knots, vals = surface0._live_curve(surface0.barrier_weights(1.0))
+    cum = np.concatenate(
+        [[0.0], np.cumsum(np.diff(knots) * (vals[1:] + vals[:-1]) / 2.0)])
+    return knots, vals, cum
+
+
+def _discount_at(table, u: np.ndarray) -> np.ndarray:
+    """exp(-int_t^u f(t, s, 1) ds) for an array of dates u in the live span."""
+    knots, vals, cum = table
+    j = np.clip(np.searchsorted(knots, u, side="right") - 1, 0, len(knots) - 2)
+    f_u = np.interp(u, knots, vals)
+    return np.exp(-(cum[j] + (u - knots[j]) * (vals[j] + f_u) / 2.0))
+
+
+def _tranche_leg_values(flat_t: np.ndarray, flat_y: np.ndarray,
+                        counts: np.ndarray, tranche: TranchePayoff,
+                        T0: float, table) -> tuple:
+    """(payment leg, default leg) per path from ragged loss events.
+
+    The events are the output of ``simulate_loss_paths_bulk``: flat arrays
+    sorted by path, then time, with per-path counts. Each event's loss
+    levels before and after the jump are summed from 0.0 slot by slot in
+    path order, so they equal a per-path ``np.cumsum`` bit for bit. The
+    tranche writedown of an event is dH = H(before) - H(after); the default
+    leg is the sum of disc(t_e) dH over events after T0, and the payment
+    leg uses H(L_{T_i}) = H(0) - sum_{t_e <= T_i} dH_e, so that
+    sum_i D_i H(L_{T_i}) = H(0) sum_i D_i - sum_e dH_e A(t_e) with
+    A(t) = sum_{T_i >= t} D_i. Work and memory are O(events + paths).
+    """
+    n = len(counts)
+    pid = np.repeat(np.arange(n), counts)
+    slot = np.arange(len(flat_t)) - (np.cumsum(counts) - counts)[pid]
+    before = np.zeros(len(flat_t))
+    after = np.empty(len(flat_t))
+    for s in range(int(counts.max(initial=0))):
+        idx = np.flatnonzero(slot == s)
+        if s:
+            before[idx] = after[idx - 1]
+        after[idx] = before[idx] + flat_y[idx]
+    dH = tranche.H(before) - tranche.H(after)
+
+    coupons = np.asarray(tranche.coupon_dates, dtype=float)
+    disc_coupons = _discount_at(table, coupons)
+    suffix = np.concatenate([np.cumsum(disc_coupons[::-1])[::-1], [0.0]])
+    owed = dH * suffix[np.searchsorted(coupons, flat_t, side="left")]
+    pay = (tranche.H(0.0) * float(np.sum(disc_coupons))
+           - np.bincount(pid, weights=owed, minlength=n))
+    written = np.where(flat_t > T0, _discount_at(table, flat_t) * dH, 0.0)
+    dflt = np.bincount(pid, weights=written, minlength=n)
+    return pay, dflt
+
+
 def mc_stcdo_legs(loss_spec: LossCompensatorSpec, surface0: ForwardSurface,
                   tranche: TranchePayoff, spread: float, n_paths: int,
                   seed: int) -> StcdoMcResult:
     """Two-leg tranche value by direct loss simulation, deterministic rates.
 
     For scenarios whose risk-free curve does not move, so discount factors
-    come from the time-zero surface. The payment leg collects the tranche
-    survival notional at the coupon dates; the default leg collects the
-    notional writedowns at the simulated loss-jump times, discounted at
-    the jump times. Losses are pure jumps, so nothing is discretized:
-    value = spread * payment_leg - default_leg, matching the closed-form
-    pricer's sign convention (its protection value is minus the default
-    leg).
+    come from the time-zero surface: exp of minus the trapezoid integral of
+    the live x = 1 forward curve, the convention of ``maturity_integral``.
+    The payment leg collects the tranche survival notional at the coupon
+    dates; the default leg collects the notional writedowns at the
+    simulated loss-jump times, discounted at the jump times. Losses are
+    pure jumps, so nothing is discretized: value = spread * payment_leg -
+    default_leg, matching the closed-form pricer's sign convention (its
+    protection value is minus the default leg).
+
+    Both legs are sums over loss events (see ``_tranche_leg_values``); the
+    payment leg telescopes the survival notional into per-event writedowns
+    times the discount factors of the coupons at or after the event, so
+    no array grows with paths times coupons and memory is O(events +
+    paths) per chunk.
+
+    Thinning starts at time 0 with zero loss, so the surface must be
+    observed at time 0 and protection cannot start before it; ConfigError
+    otherwise.
     """
     seed = check_seed(seed)
+    if surface0.t != 0.0:
+        raise ConfigError(
+            f"the tranche oracle simulates losses from time 0; the surface "
+            f"is observed at t={surface0.t}"
+        )
     horizon = float(tranche.coupon_dates[-1])
     if horizon > float(surface0.maturities[-1]) + 1e-12:
         raise ConfigError("coupon dates extend beyond the surface horizon")
-    T0 = (float(surface0.t) if tranche.effective_date is None
+    T0 = (0.0 if tranche.effective_date is None
           else float(tranche.effective_date))
-
-    def disc(u: float) -> float:
-        return math.exp(-surface0.maturity_integral(surface0.t, u, 1.0))
-
-    disc_coupons = np.array([disc(float(Ti)) for Ti in tranche.coupon_dates])
-    coupon_arr = np.asarray(tranche.coupon_dates, dtype=float)
+    if T0 < -1e-12:
+        raise ConfigError(f"effective date {T0} precedes the valuation time 0")
+    table = _discount_table(surface0)
 
     pay = np.zeros(2)
     dflt = np.zeros(2)
@@ -931,19 +1010,8 @@ def mc_stcdo_legs(loss_spec: LossCompensatorSpec, surface0: ForwardSurface,
         gen = chunk_generator(seed, STREAM_LOSS, ci)
         flat_t, flat_y, counts = simulate_loss_paths_bulk(
             loss_spec, horizon, gen, hi - lo)
-        offs = np.concatenate([[0], np.cumsum(counts)])
-        pay_c = np.empty(hi - lo)
-        dflt_c = np.empty(hi - lo)
-        for p in range(hi - lo):
-            ts = flat_t[offs[p]:offs[p + 1]]
-            ys = flat_y[offs[p]:offs[p + 1]]
-            levels = np.concatenate([[0.0], np.cumsum(ys)])
-            at_coupons = levels[np.searchsorted(ts, coupon_arr, side="right")]
-            pay_c[p] = float(disc_coupons @ tranche.H(at_coupons))
-            keep = ts > T0
-            dH = tranche.H(levels[:-1][keep]) - tranche.H(levels[1:][keep])
-            dflt_c[p] = float(sum(disc(float(u)) * dh
-                                  for u, dh in zip(ts[keep], dH)))
+        pay_c, dflt_c = _tranche_leg_values(flat_t, flat_y, counts, tranche,
+                                            T0, table)
         val_c = spread * pay_c - dflt_c
         pay += (np.sum(pay_c), np.sum(pay_c ** 2))
         dflt += (np.sum(dflt_c), np.sum(dflt_c ** 2))

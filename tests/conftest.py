@@ -41,15 +41,16 @@ def ladder_coeffs():
 
 
 def make_ladder_surface(horizon: float = 3.0, n_nodes: int = 49,
-                        barriers=(0.3, 0.55, 1.0)) -> ForwardSurface:
-    """Initial surface: linear base curve plus the ladder credit spread."""
+                        barriers=(0.3, 0.55, 1.0), **kw) -> ForwardSurface:
+    """Initial surface: linear base curve plus the ladder credit spread;
+    keyword arguments go to the ``ForwardSurface`` constructor."""
     spread = ladder_initial_spread(LADDER_RATE, LADDER_MARK)
 
     def f0(T, x):
         return 0.02 + 0.002 * np.asarray(T, dtype=float) + spread(T, x)
 
     return ForwardSurface.from_function(
-        f0, np.linspace(0.0, horizon, n_nodes), np.asarray(barriers)
+        f0, np.linspace(0.0, horizon, n_nodes), np.asarray(barriers), **kw
     )
 
 
