@@ -344,27 +344,72 @@ class ForwardSurface:
         col = sum(w * self.values[:, j] for j, w in zip(idx, wts))
         return float(np.interp(T, Ts, col))
 
-    def _live_curve(self, x_idx_weights):
-        """Maturity knots and values for T >= t, diagonal-anchored."""
-        idx, wts = x_idx_weights
-        col = sum(w * self.values[:, j] for j, w in zip(idx, wts))
+    def _live_rows(self):
+        """Maturity knots for T >= t and every stored column on them.
+
+        Row 0 is the stored node value when the observation time sits on a
+        grid node, else the diagonal anchor at t.
+        """
         Ts = self.maturities
         keep = Ts > self.t + _T_SNAP
         node = _node_index(Ts, self.t)
         if node is not None:
-            # observation time sits on a grid node; use the stored node value
-            knots = np.concatenate([[Ts[node]], Ts[keep]])
-            vals = np.concatenate([[col[node]], col[keep]])
-        else:
-            if self.diagonal is None:
-                raise GridError(
-                    "maturity integral needs a diagonal anchor: the observation "
-                    "time is off the maturity grid and no diagonal is stored"
-                )
-            diag = sum(w * self.diagonal[j] for j, w in zip(idx, wts))
-            knots = np.concatenate([[self.t], Ts[keep]])
-            vals = np.concatenate([[diag], col[keep]])
-        return knots, vals
+            return (np.concatenate([[Ts[node]], Ts[keep]]),
+                    np.vstack([self.values[node], self.values[keep]]))
+        if self.diagonal is None:
+            raise GridError(
+                "maturity integral needs a diagonal anchor: the observation "
+                "time is off the maturity grid and no diagonal is stored"
+            )
+        return (np.concatenate([[self.t], Ts[keep]]),
+                np.vstack([self.diagonal, self.values[keep]]))
+
+    def _live_curve(self, x_idx_weights):
+        """Maturity knots and values for T >= t, diagonal-anchored."""
+        idx, wts = x_idx_weights
+        knots, rows = self._live_rows()
+        return knots, sum(w * rows[:, j] for j, w in zip(idx, wts))
+
+    def column_integrals(self, dates, columns=slice(None)):
+        """Forward values and maturity integrals of stored barrier columns.
+
+        Returns (F, I), each of shape (len(dates), number of columns):
+        F[k, j] = f(t, dates[k], x_j), linear in maturity between the knots
+        of the live curve (those of ``maturity_integral``, anchored at the
+        diagonal off the grid), and I[k, j] = int_t^{dates[k]} of it: the
+        cumulative trapezoid over the knots plus the exact integral of the
+        linear interpolant from the last knot before an off-knot date.
+        ``columns`` indexes the barrier grid.
+
+        Both are linear in the surface values, and a barrier query y mixes
+        stored columns only through ``barrier_weights(y)``, so
+        sum_j w_j(y) I[k, j] is ``maturity_integral(t, dates[k], y)`` up to
+        rounding. One table therefore prices bonds at every barrier.
+        """
+        u = np.atleast_1d(np.asarray(dates, dtype=float))
+        if u.size and u.min() < self.t - _T_SNAP:
+            raise DomainError(
+                f"maturity {u.min()} precedes observation time {self.t}")
+        if u.size and u.max() > self.maturities[-1] + _T_SNAP:
+            raise GridError(f"maturity {u.max()} beyond the grid span")
+        knots, rows = self._live_rows()
+        h = np.diff(knots)
+        j = np.clip(np.searchsorted(knots, u, side="right") - 1, 0,
+                    max(len(knots) - 2, 0))
+        off = u - knots[j]
+        below, above = u <= knots[0], u >= knots[-1]
+        F, I = [], []
+        for col in rows[:, columns].T:
+            # np.interp's arithmetic, reusing the one search for the cell;
+            # the appended zero slope lets a one-knot curve index it
+            slope = np.append((col[1:] - col[:-1]) / h, 0.0)
+            f = np.where(below, col[0],
+                         np.where(above, col[-1], slope[j] * off + col[j]))
+            cum = np.concatenate([[0.0], np.cumsum(h * (col[1:] + col[:-1])
+                                                   / 2.0)])
+            F.append(f)
+            I.append(cum[j] + off * (col[j] + f) / 2.0)
+        return np.column_stack(F), np.column_stack(I)
 
     def maturity_integral(self, a: float, b: float, x: float) -> float:
         """int_a^b f(t, u, x) du by the trapezoid rule on the live grid."""
@@ -384,6 +429,17 @@ class ForwardSurface:
         return float(_trapz(fvals, pts))
 
 
+def _check_valuation(surface: ForwardSurface, ell: float, t: float) -> None:
+    """A valuation at time t and loss level ell needs the surface observed
+    at t (StateError) and ell in [0, 1] (DomainError)."""
+    if abs(t - surface.t) > 1e-10:
+        raise StateError(
+            f"surface is observed at t={surface.t}, cannot price at t={t}"
+        )
+    if not 0.0 <= ell <= 1.0:
+        raise DomainError(f"loss level must lie in [0, 1], got {ell}")
+
+
 def bond_price(surface: ForwardSurface, ell: float, t: float, T: float,
                x: float) -> BondQuote:
     """Price of the (T, x)-bond at time t from the stored surface.
@@ -391,14 +447,9 @@ def bond_price(surface: ForwardSurface, ell: float, t: float, T: float,
     The surface must be observed at t; pass the surface snapshot for the
     valuation time, not an initial surface plus a later t.
     """
-    if abs(t - surface.t) > 1e-10:
-        raise StateError(
-            f"surface is observed at t={surface.t}, cannot price at t={t}"
-        )
+    _check_valuation(surface, ell, t)
     if not 0.0 <= x <= 1.0:
         raise DomainError(f"barrier must lie in [0, 1], got {x}")
-    if not 0.0 <= ell <= 1.0:
-        raise DomainError(f"loss level must lie in [0, 1], got {ell}")
     if T < t - _T_SNAP:
         raise DomainError(f"maturity {T} precedes valuation time {t}")
     pre = float(np.exp(-surface.maturity_integral(t, max(T, t), x)))

@@ -903,31 +903,24 @@ class StcdoMcResult:
     manifest: dict
 
 
-def _discount_table(surface0: ForwardSurface):
-    """(knots, values, cumulative exponent) of the live x = 1 forward curve.
+def _discount_at(surface0: ForwardSurface, u) -> np.ndarray:
+    """exp(-int_t^u f(t, s, 1) ds) for an array of dates u in the live span.
 
-    The cumulative column is the trapezoid integral from the observation
-    time to each knot, the same rule as ``maturity_integral``; between
-    knots the exponent is the piecewise-quadratic integral of the linear
-    interpolant, as in the closed-form accrual leg.
+    The exponent is the x = 1 column of ``ForwardSurface.column_integrals``:
+    a cumulative trapezoid over the live knots plus the exact integral of
+    the linear interpolant up to an off-knot date, the table the
+    closed-form pricers use. ``bond_price`` and ``maturity_integral`` stay
+    scalar calls with their own summation order, because the martingale
+    test's time-zero reference and the engine's deterministic rate table
+    use them and seeded reports must not move; the table agrees with them
+    to rounding.
     """
-    knots, vals = surface0._live_curve(surface0.barrier_weights(1.0))
-    cum = np.concatenate(
-        [[0.0], np.cumsum(np.diff(knots) * (vals[1:] + vals[:-1]) / 2.0)])
-    return knots, vals, cum
-
-
-def _discount_at(table, u: np.ndarray) -> np.ndarray:
-    """exp(-int_t^u f(t, s, 1) ds) for an array of dates u in the live span."""
-    knots, vals, cum = table
-    j = np.clip(np.searchsorted(knots, u, side="right") - 1, 0, len(knots) - 2)
-    f_u = np.interp(u, knots, vals)
-    return np.exp(-(cum[j] + (u - knots[j]) * (vals[j] + f_u) / 2.0))
+    return np.exp(-surface0.column_integrals(u, columns=[-1])[1][:, 0])
 
 
 def _tranche_leg_values(flat_t: np.ndarray, flat_y: np.ndarray,
                         counts: np.ndarray, tranche: TranchePayoff,
-                        T0: float, table) -> tuple:
+                        T0: float, surface0: ForwardSurface) -> tuple:
     """(payment leg, default leg) per path from ragged loss events.
 
     The events are the output of ``simulate_loss_paths_bulk``: flat arrays
@@ -953,12 +946,12 @@ def _tranche_leg_values(flat_t: np.ndarray, flat_y: np.ndarray,
     dH = tranche.H(before) - tranche.H(after)
 
     coupons = np.asarray(tranche.coupon_dates, dtype=float)
-    disc_coupons = _discount_at(table, coupons)
+    disc_coupons = _discount_at(surface0, coupons)
     suffix = np.concatenate([np.cumsum(disc_coupons[::-1])[::-1], [0.0]])
     owed = dH * suffix[np.searchsorted(coupons, flat_t, side="left")]
     pay = (tranche.H(0.0) * float(np.sum(disc_coupons))
            - np.bincount(pid, weights=owed, minlength=n))
-    written = np.where(flat_t > T0, _discount_at(table, flat_t) * dH, 0.0)
+    written = np.where(flat_t > T0, _discount_at(surface0, flat_t) * dH, 0.0)
     dflt = np.bincount(pid, weights=written, minlength=n)
     return pay, dflt
 
@@ -1001,7 +994,6 @@ def mc_stcdo_legs(loss_spec: LossCompensatorSpec, surface0: ForwardSurface,
           else float(tranche.effective_date))
     if T0 < -1e-12:
         raise ConfigError(f"effective date {T0} precedes the valuation time 0")
-    table = _discount_table(surface0)
 
     pay = np.zeros(2)
     dflt = np.zeros(2)
@@ -1011,7 +1003,7 @@ def mc_stcdo_legs(loss_spec: LossCompensatorSpec, surface0: ForwardSurface,
         flat_t, flat_y, counts = simulate_loss_paths_bulk(
             loss_spec, horizon, gen, hi - lo)
         pay_c, dflt_c = _tranche_leg_values(flat_t, flat_y, counts, tranche,
-                                            T0, table)
+                                            T0, surface0)
         val_c = spread * pay_c - dflt_c
         pay += (np.sum(pay_c), np.sum(pay_c ** 2))
         dflt += (np.sum(dflt_c), np.sum(dflt_c ** 2))

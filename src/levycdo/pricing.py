@@ -8,6 +8,17 @@ accrual integral; the closed form assumes the risk-free curve is independent
 of the loss process, and quotes carry a flag recording whether the scenario
 satisfies that assumption. All barrier integrals run piecewise between grid
 knots and declared payoff kinks so the quadrature never straddles a jump.
+
+The bond exponent int_t^T f(t,u,y) du is a trapezoid sum, linear in the
+surface values, and a barrier query y mixes at most two stored columns
+through ``barrier_weights(y)``. So each pricer builds one table up front,
+``ForwardSurface.column_integrals`` at every date it needs (coupon dates,
+effective date, accrual cells), and each integrand evaluation is a weighted
+sum of at most two columns and an ``exp``. ``bond_price`` and
+``maturity_integral`` stay scalar, with their own summation order: the
+martingale test's time-zero reference and the engine's deterministic rate
+table use them, and seeded reports must not move. The table agrees with
+them to rounding.
 """
 
 from __future__ import annotations
@@ -23,10 +34,11 @@ from scipy.integrate import quad
 from .errors import (
     ConfigError,
     DegenerateAnnuityError,
-    DomainError,
     QuadratureError,
 )
-from .hjm import ForwardSurface, bond_price
+# bond_price is not called here; the name stays because perfbench/tracing.py
+# wraps pricing.bond_price.
+from .hjm import ForwardSurface, _check_valuation, bond_price  # noqa: F401
 
 __all__ = [
     "TranchePayoff",
@@ -155,6 +167,12 @@ def _piecewise_quad(fn: Callable, a: float, b: float, interior: Sequence,
     return total, err
 
 
+def _mix(surface: ForwardSurface, table: np.ndarray, y: float) -> np.ndarray:
+    """A per-column table (columns on the last axis) at barrier query y."""
+    idx, wts = surface.barrier_weights(y)
+    return sum(w * table[..., j] for j, w in zip(idx, wts))
+
+
 def price_european(surface: ForwardSurface, ell: float, t: float, T: float,
                    h: Callable, h_prime: Callable,
                    kinks: Sequence = ()) -> float:
@@ -165,48 +183,40 @@ def price_european(surface: ForwardSurface, ell: float, t: float, T: float,
     continuous on [0, 1]; points where h' jumps are declared via ``kinks``
     so the barrier integral never crosses them.
     """
-    riskfree = bond_price(surface, ell, t, T, 1.0).price
+    _check_valuation(surface, ell, t)
+    expo = surface.column_integrals([T])[1][0]
+    riskfree = math.exp(-expo[-1])
     knots = list(surface.barriers) + list(kinks) + [ell]
 
     def integrand(y: float) -> float:
-        return float(h_prime(y)) * bond_price(surface, ell, t, T, y).price
+        price = 0.0 if ell > y else math.exp(-_mix(surface, expo, y))
+        return float(h_prime(y)) * price
 
     integral, _ = _piecewise_quad(integrand, 0.0, 1.0, knots)
     return float(h(1.0)) * riskfree - integral
 
 
-def _accrual_inner(surface: ForwardSurface, ell: float, t: float, T0: float,
-                   Tn: float, y: float) -> float:
-    """int_{T0}^{Tn} f(t,u) P(t,u,y) du for one barrier level y.
+def _accrual_cells(cells: np.ndarray, F: np.ndarray, I: np.ndarray) -> tuple:
+    """Gauss-Legendre nodes of int_{T0}^{Tn} f(t,u,1) P(t,u,y) du, per column.
 
-    The stored curves are piecewise linear in maturity, so the bond
-    exponent is piecewise quadratic with an exact cumulative pass, and the
-    cell integrand is analytic: fixed Gauss-Legendre nodes per grid cell
-    integrate it far below the outer quadrature tolerance without the cost
-    of nested adaptive calls. Matches bond_price's trapezoid convention
-    exactly at the nodes, keeping the legs mutually consistent.
+    ``cells`` are the live maturity knots between T0 and Tn with both ends,
+    strictly increasing, and ``F`` and ``I`` the ``column_integrals`` rows
+    at them. The curves are linear in maturity on each cell, so every bond
+    exponent is quadratic there and the cell integrand is analytic: six
+    fixed Gauss-Legendre nodes per cell integrate it far below the outer
+    quadrature tolerance.
+    Returns ``expo`` (cells, 6, columns), the exponent of every stored
+    column at the nodes, and ``wts`` (cells, 6), the x = 1 forward rate
+    times the node weights, so that the accrual at barrier y is
+    sum(wts * exp(-expo mixed at y)).
     """
-    if Tn - T0 <= 1e-14 or ell > y:
-        return 0.0
-    knots, fy = surface._live_curve(surface.barrier_weights(y))
-    _, f1 = surface._live_curve(surface.barrier_weights(1.0))
-    gpts = np.unique(np.concatenate([knots[knots < Tn - 1e-14], [T0, Tn]]))
-    fyv = np.interp(gpts, knots, fy)
-    f1v = np.interp(gpts, knots, f1)
-    h = np.diff(gpts)
-    cum = np.concatenate([[0.0], np.cumsum(0.5 * (fyv[1:] + fyv[:-1]) * h)])
-    live = gpts[:-1] >= T0 - 1e-14
-    ha = h[live]
-    safe = np.where(ha > 0.0, ha, 1.0)
-    fa = fyv[:-1][live]
-    slope_y = (fyv[1:][live] - fa) / safe
-    f1a = f1v[:-1][live]
-    slope_1 = (f1v[1:][live] - f1a) / safe
-    offs = np.outer(ha, 0.5 * (_GL_NODES + 1.0))
-    expo = cum[:-1][live][:, None] + fa[:, None] * offs \
-        + 0.5 * slope_y[:, None] * offs ** 2
-    vals = (f1a[:, None] + slope_1[:, None] * offs) * np.exp(-expo)
-    return float(np.sum((vals @ _GL_WEIGHTS) * 0.5 * ha))
+    h = np.diff(cells)
+    offs = np.outer(h, 0.5 * (_GL_NODES + 1.0))[:, :, None]
+    slope = (F[1:] - F[:-1]) / h[:, None]
+    expo = I[:-1, None, :] + F[:-1, None, :] * offs \
+        + 0.5 * slope[:, None, :] * offs ** 2
+    f1 = F[:-1, None, -1] + slope[:, None, -1] * offs[:, :, 0]
+    return expo, f1 * _GL_WEIGHTS * (0.5 * h)[:, None]
 
 
 def stcdo_value(surface: ForwardSurface, ell: float, t: float,
@@ -221,7 +231,7 @@ def stcdo_value(surface: ForwardSurface, ell: float, t: float,
     scenarios that violate that assumption.
     """
     T0 = t if tranche.effective_date is None else float(tranche.effective_date)
-    dates = tranche.coupon_dates
+    dates = np.asarray(tranche.coupon_dates)
     horizon = float(surface.maturities[-1])
     if T0 < t - 1e-12:
         raise ConfigError(
@@ -231,17 +241,33 @@ def stcdo_value(surface: ForwardSurface, ell: float, t: float,
         raise ConfigError(
             f"coupon date {dates[-1]} is beyond the surface horizon {horizon}"
         )
+    _check_valuation(surface, ell, t)
+    Ts = surface.maturities
+    Tn = float(dates[-1])
+    cells = np.unique(np.concatenate([[T0, Tn], Ts[(Ts > T0) & (Ts < Tn)]]))
+    F, I = surface.column_integrals(np.concatenate([dates, cells]))
+    n = len(dates)
+    coupon_expo = I[:n]
+    ends_expo = I[[n, -1]]       # T0 and Tn
+    accrual_expo, accrual_wts = _accrual_cells(cells, F[n:], I[n:])
     knots = list(surface.barriers) + [ell]
 
     def annuity_fn(y: float) -> float:
-        return sum(bond_price(surface, ell, t, Ti, y).price for Ti in dates)
+        if ell > y:
+            return 0.0
+        return float(np.sum(np.exp(-_mix(surface, coupon_expo, y))))
 
     def static_fn(y: float) -> float:
-        return (bond_price(surface, ell, t, dates[-1], y).price
-                - bond_price(surface, ell, t, T0, y).price)
+        if ell > y:
+            return 0.0
+        p0, pn = np.exp(-_mix(surface, ends_expo, y))
+        return float(pn - p0)
 
     def accrual_fn(y: float) -> float:
-        return _accrual_inner(surface, ell, t, T0, dates[-1], y)
+        if ell > y:
+            return 0.0
+        return float(np.sum(
+            accrual_wts * np.exp(-_mix(surface, accrual_expo, y))))
 
     annuity, e1 = _piecewise_quad(annuity_fn, tranche.x1, tranche.x2, knots)
     static, e2 = _piecewise_quad(static_fn, tranche.x1, tranche.x2, knots)

@@ -1,6 +1,7 @@
 """Monte Carlo orchestration: the convergence sweep and thread-count
-invariance of the martingale verifier, the worker-count setting, and the
-tranche oracle against its per-path loop and the closed form."""
+invariance of the martingale verifier, the worker-count setting, the
+tranche oracle against its per-path loop and the closed form, and the
+European oracle against the closed form."""
 
 import dataclasses
 import math
@@ -21,14 +22,14 @@ from levycdo.errors import ConfigError, DomainError
 from levycdo.loss import simulate_loss_paths_bulk
 from levycdo.mc import (
     _MIN_PATHS,
-    _discount_table,
     _tranche_leg_values,
     convergence_sweep,
+    mc_european,
     mc_stcdo_legs,
     run_martingale_test,
     thread_count,
 )
-from levycdo.pricing import TranchePayoff, stcdo_value
+from levycdo.pricing import TranchePayoff, price_european, stcdo_value
 from levycdo.rng import CHUNK_SIZE, STREAM_LOSS, chunk_generator, chunk_ranges
 
 from conftest import make_ladder_surface
@@ -186,7 +187,7 @@ def _kernel_legs(flat_t, flat_y, counts, surface0, tranche):
     T0 = (0.0 if tranche.effective_date is None
           else float(tranche.effective_date))
     return _tranche_leg_values(flat_t, flat_y, counts, tranche, T0,
-                               _discount_table(surface0))
+                               surface0)
 
 
 def _ragged(paths):
@@ -311,3 +312,40 @@ def test_tranche_oracle_rejects_surface_observed_later(ladder_loss,
         for seed in (5, 1001):
             with pytest.raises(ConfigError):
                 mc_stcdo_legs(ladder_loss, later, tranche, SPREAD, 100, seed)
+
+
+# ----- European oracle ---------------------------------------------------------
+
+# The seed is fixed in advance for both grids.
+EURO_SEED = 11
+EURO_PATHS = 20_000
+
+
+def _european_z(coeffs, triplet, loss_spec, barriers):
+    """z of ``mc_european`` against ``price_european`` for the payoff H of
+    the 10-40% tranche at T = 2, on a left-interpolated ladder surface."""
+    surface = make_ladder_surface(barriers=barriers, x_interp="left")
+    tranche = TranchePayoff(0.10, 0.40, (2.0,))
+    mean, se = mc_european(coeffs, triplet, loss_spec, surface, 2.0,
+                           tranche.H, EURO_PATHS, EURO_SEED, dt=1 / 50)
+    closed = price_european(surface, 0.0, 0.0, 2.0, h=tranche.H,
+                            h_prime=tranche.H_prime, kinks=tranche.kinks)
+    return (mean - closed) / se
+
+
+def test_european_oracle_matches_closed_form(ladder_coeffs, gauss2,
+                                             ladder_loss):
+    """Barriers at the multiples of the mark 0.17 and at 0.1, below the
+    first: the ladder surface is constant in x between them, so left
+    interpolation is exact."""
+    z = _european_z(ladder_coeffs, gauss2, ladder_loss,
+                    (0.1, 0.17, 0.34, 0.51, 0.68, 0.85, 1.0))
+    assert abs(z) <= 4.0
+
+
+def test_european_oracle_detects_misaligned_barriers(ladder_coeffs, gauss2,
+                                                     ladder_loss):
+    """Power: barriers off the ladder's steps put an O(1) grid error into
+    the closed form, which the oracle must see."""
+    z = _european_z(ladder_coeffs, gauss2, ladder_loss, (0.1, 0.2, 0.4, 1.0))
+    assert abs(z) > 4.0

@@ -1,7 +1,9 @@
 """Tranche payoffs, European pricing via the bond decomposition, STCDO
 values, and par spreads, checked against closed forms where they exist."""
 
+import dataclasses
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -10,10 +12,15 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.stats import poisson
 
+import levycdo.hjm
+import levycdo.pricing
 from levycdo.errors import (
     ConfigError,
     DegenerateAnnuityError,
+    DomainError,
+    GridError,
     QuadratureError,
+    StateError,
 )
 from levycdo.families import ladder_initial_spread
 from levycdo.hjm import ForwardSurface, bond_price
@@ -304,3 +311,204 @@ class TestQuadratureLayer:
     def test_splits_skip_knots_outside_range(self):
         v, _ = _piecewise_quad(lambda y: 1.0, 0.2, 0.8, [0.1, 0.5, 0.9])
         assert v == pytest.approx(0.6, rel=1e-12)
+
+
+# ----- the table pricers against the former scalar-bond pricers -------------
+
+_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(6)
+
+
+def _former_accrual_inner(surface, ell, t, T0, Tn, y):
+    """Reference: the former accrual integrand, int_{T0}^{Tn} f(t,u,1)
+    P(t,u,y) du by six Gauss-Legendre nodes per grid cell, rebuilt from
+    ``_live_curve`` at every barrier query."""
+    if Tn - T0 <= 1e-14 or ell > y:
+        return 0.0
+    knots, fy = surface._live_curve(surface.barrier_weights(y))
+    _, f1 = surface._live_curve(surface.barrier_weights(1.0))
+    gpts = np.unique(np.concatenate([knots[knots < Tn - 1e-14], [T0, Tn]]))
+    fyv = np.interp(gpts, knots, fy)
+    f1v = np.interp(gpts, knots, f1)
+    h = np.diff(gpts)
+    cum = np.concatenate([[0.0], np.cumsum(0.5 * (fyv[1:] + fyv[:-1]) * h)])
+    live = gpts[:-1] >= T0 - 1e-14
+    ha = h[live]
+    safe = np.where(ha > 0.0, ha, 1.0)
+    fa = fyv[:-1][live]
+    slope_y = (fyv[1:][live] - fa) / safe
+    f1a = f1v[:-1][live]
+    slope_1 = (f1v[1:][live] - f1a) / safe
+    offs = np.outer(ha, 0.5 * (_GL_NODES + 1.0))
+    expo = cum[:-1][live][:, None] + fa[:, None] * offs \
+        + 0.5 * slope_y[:, None] * offs ** 2
+    vals = (f1a[:, None] + slope_1[:, None] * offs) * np.exp(-expo)
+    return float(np.sum((vals @ _GL_WEIGHTS) * 0.5 * ha))
+
+
+def _former_stcdo_legs(surface, ell, t, tranche):
+    """Reference: (annuity, protection, accrual) with one ``bond_price``
+    call per coupon date and barrier query, as the pricer did before it
+    tabulated the maturity integrals."""
+    T0 = t if tranche.effective_date is None else float(tranche.effective_date)
+    dates = tranche.coupon_dates
+    knots = list(surface.barriers) + [ell]
+
+    def annuity_fn(y):
+        return sum(bond_price(surface, ell, t, Ti, y).price for Ti in dates)
+
+    def static_fn(y):
+        return (bond_price(surface, ell, t, dates[-1], y).price
+                - bond_price(surface, ell, t, T0, y).price)
+
+    def accrual_fn(y):
+        return _former_accrual_inner(surface, ell, t, T0, dates[-1], y)
+
+    annuity, _ = _piecewise_quad(annuity_fn, tranche.x1, tranche.x2, knots)
+    static, _ = _piecewise_quad(static_fn, tranche.x1, tranche.x2, knots)
+    accrual, _ = _piecewise_quad(accrual_fn, tranche.x1, tranche.x2, knots)
+    return annuity, static + accrual, accrual
+
+
+def _former_price_european(surface, ell, t, T, h, h_prime, kinks):
+    riskfree = bond_price(surface, ell, t, T, 1.0).price
+    knots = list(surface.barriers) + list(kinks) + [ell]
+
+    def integrand(y):
+        return float(h_prime(y)) * bond_price(surface, ell, t, T, y).price
+
+    integral, _ = _piecewise_quad(integrand, 0.0, 1.0, knots)
+    return float(h(1.0)) * riskfree - integral
+
+
+TABLE_TOL = 1e-13
+QUARTERLY_2Y = (0.5, 1.0, 1.5, 2.0)
+
+
+def _table_cases():
+    """(surface, loss level, valuation time, tranche) per case."""
+    linear = make_ladder_surface()
+    return {
+        "linear": (linear, 0.0, 0.0, STANDARD_TRANCHE),
+        "left": (make_ladder_surface(x_interp="left"), 0.0, 0.0,
+                 STANDARD_TRANCHE),
+        "below_lowest_barrier": (
+            linear, 0.0, 0.0, TranchePayoff(0.03, 0.07, QUARTERLY_2Y)),
+        "loss_inside_tranche": (linear, 0.4, 0.0, STANDARD_TRANCHE),
+        # off-knot effective and coupon dates
+        "effective_after_t": (
+            linear, 0.0, 0.0,
+            TranchePayoff(0.2, 0.6, (0.55, 1.1, 1.65, 2.2),
+                          effective_date=0.3)),
+        # 0.37 lies between the nodes 0.3125 and 0.375
+        "off_grid_anchor": (dataclasses.replace(linear, t=0.37), 0.17, 0.37,
+                            STANDARD_TRANCHE),
+    }
+
+
+@pytest.mark.parametrize("case", sorted(_table_cases()))
+def test_table_pricers_match_scalar_bond_pricers(case):
+    surface, ell, t, tranche = _table_cases()[case]
+    annuity, protection, accrual = _former_stcdo_legs(surface, ell, t,
+                                                      tranche)
+    quote = stcdo_value(surface, ell, t, tranche, spread=0.01)
+    assert abs(quote.annuity - annuity) <= TABLE_TOL
+    assert abs(quote.protection_value - protection) <= TABLE_TOL
+    assert abs(quote.accrual_integral - accrual) <= TABLE_TOL
+    assert abs(quote.value - (0.01 * annuity + protection)) <= TABLE_TOL
+    T = tranche.coupon_dates[-1]
+    want = _former_price_european(surface, ell, t, T, tranche.H,
+                                  tranche.H_prime, tranche.kinks)
+    got = price_european(surface, ell, t, T, h=tranche.H,
+                         h_prime=tranche.H_prime, kinks=tranche.kinks)
+    assert abs(got - want) <= TABLE_TOL
+
+
+def test_column_integrals_mix_to_maturity_integral():
+    surface = dataclasses.replace(make_ladder_surface(), t=0.37)
+    dates = np.array([0.37, 0.375, 0.4, 1.0, 1.23, 3.0])
+    F, I = surface.column_integrals(dates)
+    assert I.shape == F.shape == (len(dates), len(surface.barriers))
+    assert np.all(I[0] == 0.0)
+    for y in (0.1, 0.3, 0.42, 1.0):
+        idx, wts = surface.barrier_weights(y)
+        for k, T in enumerate(dates):
+            mixed = sum(w * I[k, j] for j, w in zip(idx, wts))
+            assert mixed == pytest.approx(
+                surface.maturity_integral(0.37, T, y), rel=1e-14, abs=1e-16)
+    with pytest.raises(DomainError):
+        surface.column_integrals([0.3])
+    with pytest.raises(GridError):
+        surface.column_integrals([3.5])
+
+
+class TestArgumentChecks:
+    """Errors that came from ``bond_price`` inside the first quadrature
+    call are raised before any quadrature starts."""
+
+    @pytest.fixture(autouse=True)
+    def no_quadrature(self, monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError("quadrature started before the check")
+
+        monkeypatch.setattr(levycdo.pricing, "_piecewise_quad", fail)
+
+    @staticmethod
+    def _calls(surface, ell, t, tranche, T):
+        """The three entry points, each as a thunk."""
+        return (
+            lambda: stcdo_value(surface, ell, t, tranche, 0.01),
+            lambda: par_spread(surface, ell, t, tranche),
+            lambda: price_european(surface, ell, t, T, h=tranche.H,
+                                   h_prime=tranche.H_prime,
+                                   kinks=tranche.kinks),
+        )
+
+    def test_surface_not_observed_at_valuation_time(self):
+        tranche = TranchePayoff(0.2, 0.6, (1.0, 1.5))
+        for call in self._calls(flat_surface(0.02), 0.0, 0.5, tranche, 1.5):
+            with pytest.raises(StateError):
+                call()
+
+    @pytest.mark.parametrize("ell", [-0.1, 1.2])
+    def test_loss_level_outside_unit_interval(self, ell):
+        for call in self._calls(flat_surface(0.02), ell, 0.0,
+                                STANDARD_TRANCHE, 2.0):
+            with pytest.raises(DomainError):
+                call()
+
+    def test_dates_before_valuation_time(self):
+        later = dataclasses.replace(flat_surface(0.02), t=0.5)
+        tranche = TranchePayoff(0.2, 0.6, (0.25, 1.0))
+        for call in self._calls(later, 0.0, 0.5, tranche, 0.25):
+            with pytest.raises(DomainError):
+                call()
+
+    def test_maturity_beyond_grid_span(self):
+        with pytest.raises(GridError):
+            self._calls(flat_surface(0.02), 0.0, 0.0, STANDARD_TRANCHE,
+                        3.5)[2]()
+
+
+def test_quote_builds_one_table_and_prices_no_scalar_bond(monkeypatch,
+                                                          ladder_surface):
+    calls = Counter()
+
+    def count(owner, name):
+        fn = getattr(owner, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, wrapper)
+
+    count(ForwardSurface, "column_integrals")
+    count(ForwardSurface, "maturity_integral")
+    count(levycdo.hjm, "bond_price")
+    count(levycdo.pricing, "bond_price")
+    stcdo_value(ladder_surface, 0.0, 0.0, STANDARD_TRANCHE, 0.01)
+    assert calls == {"column_integrals": 1}
+    price_european(ladder_surface, 0.0, 0.0, 2.0, h=STANDARD_TRANCHE.H,
+                   h_prime=STANDARD_TRANCHE.H_prime,
+                   kinks=STANDARD_TRANCHE.kinks)
+    assert calls == {"column_integrals": 2}
