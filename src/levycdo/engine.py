@@ -21,14 +21,18 @@ component accumulators times maturity shapes plus a per-path contagion
 adjustment, so paths carry only those accumulators, the loss level, the
 discount integral and the adjustment. The full surface is materialized
 only at report nodes; per-step work is O(n d) instead of O(n nT nx).
+Readers of a reported state go through ``SurfaceEngine.columns`` (the
+barrier-interpolated maturity columns) and ``SurfaceEngine.diagonal``, the
+one owner of the diagonal f(t, t, x): ``surface_snapshot`` and the Monte
+Carlo bond values both take it from there.
 
 Events are applied from tables built before stepping, not path by path.
 Driver jumps are bucketed by step and enter the accumulators and the
 discount integral with one ``np.add.at`` per step. Loss jumps are bucketed
-by step with their pre-jump levels (per-path cumulative sums of the
-marks); each step applies its loss jumps in groups of equal (pre-jump
-level, mark), with one batched evaluation of the contagion rows and of
-the drift conversion per group. Drift tables are built per loss level,
+by step with their pre-jump levels (``loss.levels_before``); each step
+applies its loss jumps in groups of equal (pre-jump level, mark), with one
+batched evaluation of the contagion rows and of the drift conversion per
+group. Drift tables are built per loss level,
 over every step's quadrature nodes at once, and cached.
 
 Consequence leaned on by the test suite: with no Brownian part the whole
@@ -62,7 +66,13 @@ from .levy import (
     laplace_gradient,
     laplace_gradient_rows,
 )
-from .loss import LossCompensatorSpec, LossPath, intensity_lambda, simulate_loss_paths_bulk
+from .loss import (
+    LossCompensatorSpec,
+    LossPath,
+    intensity_lambda,
+    levels_before,
+    simulate_loss_paths_bulk,
+)
 from .rng import STREAM_LEVY, STREAM_LOSS, chunk_generator
 
 __all__ = ["SurfaceEngine", "PathState", "build_master_grid", "evolve_surface"]
@@ -588,12 +598,11 @@ class SurfaceEngine:
           each step applies its jumps with one ``np.add.at``;
         * a loss jump adds its contagion rows to the path's adjustment and
           converts the drift history to the new level through cumulative
-          level integrals. Pre- and post-jump levels come from per-path
-          cumulative sums, and each step handles its loss jumps in groups
-          of equal (pre-jump level, mark), one batched call per group. A
-          path has at most one jump per group, since its level only rises,
-          and groups run in level order, so each path sees its jumps in
-          time order.
+          level integrals. Pre-jump levels come from ``levels_before``,
+          and each step handles its loss jumps in groups of equal
+          (pre-jump level, mark), one batched call per group. A path has at
+          most one jump per group, since its level only rises, and groups
+          run in level order, so each path sees its jumps in time order.
         """
         d = self.d
         steps = len(self.grid) - 1
@@ -636,19 +645,10 @@ class SurfaceEngine:
                                  for comp in self._comps], axis=1)
             dR = np.einsum("ec,ec->e", dI, psi_rest)
 
-        # loss-jump table: levels before and after each jump, summed from
-        # 0.0 in path order (the level-keyed caches need these exact floats)
+        # loss-jump table: the level before each jump, summed in path order
         keep = (lt > self.grid[0]) & (lt <= self.horizon)
         lt, ly, lp = lt[keep], ly[keep], lp[keep]
-        if len(lt):
-            counts = np.bincount(lp, minlength=n)
-            slot = np.arange(len(lt)) - (np.cumsum(counts) - counts)[lp]
-            levels = np.zeros((n, int(counts.max())))
-            levels[lp, slot] = ly
-            levels = np.cumsum(levels, axis=1)
-            l_old = np.where(slot > 0, levels[lp, slot - 1], 0.0)
-        else:
-            l_old = np.empty(0)
+        l_old = levels_before(ly, np.bincount(lp, minlength=n))
         order, _, l_bounds = self._step_table(lt)
         lt, ly, lp, l_old = (a[order] for a in (lt, ly, lp, l_old))
         report_pos = {int(node): pos for pos, node in enumerate(report_nodes)}
@@ -754,36 +754,53 @@ class SurfaceEngine:
         for fn in collectors:
             fn(pos, state)
 
-    # ----- snapshots ----------------------------------------------------------
+    # ----- readers of the path state --------------------------------------
 
-    def surface_snapshot(self, state: PathState, path: int) -> ForwardSurface:
-        """Materialize one path's surface, with its diagonal f(t, t, x).
+    def columns(self, state: PathState, x: float) -> np.ndarray:
+        """(n, nT) forward values at barrier x, barrier-interpolated."""
+        idx, wts = self.surface0.barrier_weights(float(x))
+        return sum(w * state.values[:, :, i] for i, w in zip(idx, wts))
 
-        Under the no-arbitrage drift the diagonal is exact: short rate plus
-        barrier-crossing intensity. Other drifts get a quadratic maturity
-        extrapolation, which is all the surface itself can support.
+    def diagonal(self, state: PathState, x: float) -> np.ndarray:
+        """The diagonal f(t, t, x) per path: the one rule behind snapshots
+        and the bond values of the Monte Carlo verifiers.
+
+        Under the no-arbitrage drift it is exact, by the diagonal drift
+        condition of Filipovic, Overbeck & Schmidt (2011): the short rate
+        plus the intensity lambda(t, x; ell) of crossing x, on paths with
+        loss ell <= x (crossed paths get the short rate alone). Other drifts
+        get a quadratic maturity extrapolation of the barrier-interpolated
+        columns, which is all the surface itself can support.
         """
         t = state.t
-        r = float(state.short_rate[path])
-        lv = float(state.loss[path])
         if self._no_arb:
-            diag = np.full(self.nx, r)
+            diag = state.short_rate.copy()
             if self.loss_spec is not None:
-                for i, x in enumerate(self.barriers):
+                for lv in np.unique(state.loss):
                     if lv <= x:
-                        diag[i] += intensity_lambda(t, float(x), lv, self.loss_spec)
-        else:
-            Ts = self.maturities
-            j = int(np.clip(np.searchsorted(Ts, t), 0, self.nT - 3))
-            diag = np.empty(self.nx)
-            for i in range(self.nx):
-                coef = np.polyfit(Ts[j:j + 3], state.values[path, j:j + 3, i], 2)
-                diag[i] = float(np.polyval(coef, t))
+                        diag[state.loss == lv] += intensity_lambda(
+                            t, float(x), float(lv), self.loss_spec)
+            return diag
+        Ts = self.maturities
+        j = int(np.clip(np.searchsorted(Ts, t), 0, self.nT - 3))
+        col = self.columns(state, x)[:, j:j + 3]
+        coef = np.polyfit(Ts[j:j + 3], col.T, 2)
+        return np.asarray(np.polyval(coef, t), dtype=float)
+
+    def surface_snapshot(self, state: PathState, path: int) -> ForwardSurface:
+        """Materialize one path's surface, with its diagonal f(t, t, x) at
+        every grid barrier from ``diagonal``."""
+        sel = [path]
+        one = PathState(state.t, state.node, state.values[sel],
+                        state.loss[sel], state.discount_log[sel],
+                        state.short_rate[sel], state.offset + path)
+        diag = np.array([self.diagonal(one, float(x))[0]
+                         for x in self.barriers])
         return ForwardSurface(
             maturities=self.maturities.copy(),
             barriers=self.barriers.copy(),
             values=state.values[path].copy(),
-            t=t,
+            t=state.t,
             diagonal=diag,
             x_interp=self.surface0.x_interp,
             interpolate=self.surface0.interpolate,

@@ -33,7 +33,7 @@ from .errors import (
     QuadratureError,
     StateError,
 )
-from .rng import check_seed, single_generator
+from .rng import single_generator
 
 __all__ = [
     "LossCompensatorSpec",
@@ -41,6 +41,7 @@ __all__ = [
     "intensity_lambda",
     "simulate_loss_path",
     "simulate_loss_paths_bulk",
+    "levels_before",
     "mx_compensated",
 ]
 
@@ -303,6 +304,25 @@ def simulate_loss_paths_bulk(spec: LossCompensatorSpec, horizon: float,
     order = np.argsort(paths, kind="stable")
     counts = np.bincount(paths, minlength=n_paths)
     return np.concatenate(ev_t)[order], np.concatenate(ev_y)[order], counts
+
+
+def levels_before(sizes: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """Loss level just before each event of ragged per-path event storage.
+
+    ``sizes`` are the jump sizes sorted by path, then time, and ``counts``
+    the per-path event counts, as ``simulate_loss_paths_bulk`` returns them.
+    Levels are summed from 0.0 slot by slot, so entry e equals the per-path
+    ``np.cumsum`` of the sizes before e bit for bit: the level-keyed caches
+    of the engine need exactly these floats. Memory is O(events + paths).
+    """
+    sizes = np.asarray(sizes, dtype=float)
+    counts = np.asarray(counts)
+    starts = np.cumsum(counts) - counts
+    before = np.zeros(len(sizes))
+    for s in range(1, int(counts.max(initial=0))):
+        idx = starts[counts > s] + s
+        before[idx] = before[idx - 1] + sizes[idx - 1]
+    return before
 
 
 def mx_compensated(path: LossPath, x: float, spec: LossCompensatorSpec,

@@ -20,7 +20,7 @@ and the drift reduces to -lambda alone.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
@@ -62,13 +62,15 @@ class TenorStructure:
     """Tenor dates and loss barriers of a discrete market.
 
     ``maturities`` holds the reset/settlement dates T_0 < ... < T_{n-1};
-    period k runs from T_k to T_{k+1} with accrual delta_k. ``eta(t)`` is the
-    index of the accrual period containing t (right-continuous; before T_0 it
-    is 0), and raises IndexError from the last date onward.
+    period k runs from T_k to T_{k+1} with accrual delta_k, computed once
+    into the read-only array ``accruals``. ``eta(t)`` is the index of the
+    accrual period containing t (right-continuous; before T_0 it is 0), and
+    raises IndexError from the last date onward.
     """
 
     maturities: np.ndarray
     barriers: np.ndarray
+    accruals: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "maturities",
@@ -86,14 +88,13 @@ class TenorStructure:
             raise GridError(f"last barrier must be exactly 1.0, got {X[-1]!r}")
         if X[0] < 0:
             raise GridError("barriers must be non-negative")
+        accruals = np.diff(T)
+        accruals.flags.writeable = False
+        object.__setattr__(self, "accruals", accruals)
 
     @property
     def n_periods(self) -> int:
         return len(self.maturities) - 1
-
-    @property
-    def accruals(self) -> np.ndarray:
-        return np.diff(self.maturities)
 
     def eta(self, t: float) -> int:
         """Index of the accrual period containing t."""
@@ -437,20 +438,22 @@ class MarketPaths:
 
 def _rate_drift_matrix(mspec: MarketCoefficientSpec,
                        loss_spec: Optional[LossCompensatorSpec], t: float,
-                       i: int, eta: int, L_slice: np.ndarray,
-                       ell: np.ndarray, evolve_from: int,
+                       i: int, eta: int, betas: np.ndarray,
+                       L_slice: np.ndarray, ell: np.ndarray,
+                       evolve_from: int,
                        degenerate: np.ndarray) -> np.ndarray:
     """Vectorized rate-form drift for periods evolve_from..K-1 at barrier i.
 
-    L_slice is (n, K) left-limit states (fixed periods keep their fixing).
-    Returns (n, K - evolve_from). Paths flagged degenerate get zeros; a live
-    zero rate under a loss measure marks its path degenerate in place.
+    ``betas`` stacks the loadings beta(t, j, i) for j = eta..K-1; the caller
+    evaluates them once and reuses them for the step's shocks. L_slice is
+    (n, K) left-limit states (fixed periods keep their fixing). Returns
+    (n, K - evolve_from). Paths flagged degenerate get zeros; a live zero
+    rate under a loss measure marks its path degenerate in place.
     """
     tenor = mspec.tenor
     K = tenor.n_periods
     n = L_slice.shape[0]
     x = float(tenor.barriers[i])
-    betas = np.stack([mspec.eval_beta(t, j, i) for j in range(eta, K)])
     cov = betas @ mspec.triplet.sigma @ betas.T
     dL = tenor.accruals[None, eta:] * L_slice[:, eta:]
     bad = (1.0 + dL <= 0.0).any(axis=1) & ~degenerate
@@ -634,13 +637,13 @@ def simulate_market_model(mspec: MarketCoefficientSpec,
                 # must have variance beta' Sigma beta dt, matching the drift
                 dW = math.sqrt(dt) * draws @ mspec.triplet.sigma_root.T
                 for i in range(m):
+                    betas = np.stack([mspec.eval_beta(t0, j, i)
+                                      for j in range(eta, K)])
                     drift = _rate_drift_matrix(
-                        mspec, loss_spec, t0, i, eta, L[:, :, i], ell,
+                        mspec, loss_spec, t0, i, eta, betas, L[:, :, i], ell,
                         evolve_from, degen,
                     )
-                    betas = np.stack([mspec.eval_beta(t0, j, i)
-                                      for j in range(evolve_from, K)])
-                    shock = dW @ betas.T
+                    shock = dW @ betas[evolve_from - eta:].T
                     upd = L[:, evolve_from:, i] * (drift * dt + shock)
                     upd[degen | ~alive[:, i]] = 0.0
                     L[:, evolve_from:, i] += upd

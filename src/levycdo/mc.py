@@ -32,11 +32,11 @@ from .errors import (
     StateError,
 )
 from .hjm import CoefficientSpec, ForwardSurface, bond_price
-from .levy import LevyTriplet, simulate_increments
+from .levy import LevyTriplet
 from .loss import (
     LossCompensatorSpec,
     intensity_lambda,
-    simulate_loss_path,
+    levels_before,
     simulate_loss_paths_bulk,
 )
 from .market import MarketCoefficientSpec, TenorStructure, alpha_rate_model
@@ -54,9 +54,6 @@ __all__ = [
     "run_martingale_test",
     "SweepRow",
     "convergence_sweep",
-    "sweep_to_csv",
-    "PathBundle",
-    "simulate_bundle",
     "EmbeddingReport",
     "run_embedding_check",
     "mc_european",
@@ -178,33 +175,6 @@ def _trapz_layout(maturities: np.ndarray, a: float, b: float):
     return w_anchor, w_cols
 
 
-def _blend_columns(engine: SurfaceEngine, state: PathState,
-                   x: float) -> np.ndarray:
-    """(n, nT) forward values at barrier x, barrier-interpolated."""
-    idx, wts = engine.surface0.barrier_weights(float(x))
-    return sum(w * state.values[:, :, i] for i, w in zip(idx, wts))
-
-
-def _diagonal_anchor(engine: SurfaceEngine, state: PathState,
-                     x: float) -> np.ndarray:
-    """f(t, t, x) per path, mirroring the engine's snapshot conventions."""
-    t = state.t
-    if engine._no_arb:
-        diag = state.short_rate.copy()
-        if engine.loss_spec is not None:
-            for lv in np.unique(state.loss):
-                if lv <= x:
-                    diag[state.loss == lv] += intensity_lambda(
-                        t, float(x), float(lv), engine.loss_spec)
-        return diag
-    # other drifts: quadratic maturity extrapolation of the stored columns
-    Ts = engine.maturities
-    j = int(np.clip(np.searchsorted(Ts, t), 0, engine.nT - 3))
-    col = _blend_columns(engine, state, x)[:, j:j + 3]
-    coef = np.polyfit(Ts[j:j + 3], col.T, 2)
-    return np.asarray(np.polyval(coef, t), dtype=float)
-
-
 def _discounted_bond_values(engine: SurfaceEngine, state: PathState,
                             targets) -> np.ndarray:
     """D_t P(t, T, x) per path and target, vectorized over the chunk."""
@@ -215,9 +185,9 @@ def _discounted_bond_values(engine: SurfaceEngine, state: PathState,
             out[:, m] = np.nan
             continue
         w0, w_cols = _trapz_layout(engine.maturities, state.t, float(T))
-        expo = _blend_columns(engine, state, float(x)) @ w_cols
+        expo = engine.columns(state, float(x)) @ w_cols
         if w0 != 0.0:
-            expo = expo + w0 * _diagonal_anchor(engine, state, float(x))
+            expo = expo + w0 * engine.diagonal(state, float(x))
         alive = state.loss <= float(x)
         out[:, m] = np.where(alive, disc * np.exp(-expo), 0.0)
     return out
@@ -456,99 +426,6 @@ def convergence_sweep(coeffs: CoefficientSpec, triplet: LevyTriplet,
     return rows
 
 
-def sweep_to_csv(rows: Sequence[SweepRow]) -> str:
-    lines = ["dt,n_paths,max_abs_z,worst_dev,worst_se,worst_time,"
-             "worst_maturity,worst_barrier,passed"]
-    for r in rows:
-        lines.append("%.17g,%d,%.17g,%.17g,%.17g,%.17g,%.17g,%.17g,%s"
-                     % (r.dt, r.n_paths, r.max_abs_z, r.worst_dev, r.worst_se,
-                        r.worst_time, r.worst_target[0], r.worst_target[1],
-                        "PASS" if r.passed else "FAIL"))
-    return "\n".join(lines) + "\n"
-
-
-# ----- aligned path bundles --------------------------------------------------
-
-
-@dataclass(frozen=True)
-class PathBundle:
-    """Aligned small-sample trajectories for diagnostics and plots.
-
-    Per path: the driver record (Gaussian increments and exact jump list),
-    the loss path, a surface snapshot at every grid node, the loss level,
-    and the running discount factor. Driver and loss use disjoint random
-    streams, so the loss path at a given index is unchanged when the driver
-    model changes and vice versa (the processes are built independent).
-    """
-
-    time_grid: np.ndarray
-    records: tuple                    # n driver records
-    loss_paths: tuple                 # n loss paths (or None entries)
-    surfaces: tuple                   # n tuples of ForwardSurface per node
-    loss_levels: np.ndarray           # (n, nodes)
-    discounts: np.ndarray             # (n, nodes)
-    manifest: dict
-
-    @property
-    def n_paths(self) -> int:
-        return len(self.records)
-
-
-def simulate_bundle(coeffs: CoefficientSpec, triplet: LevyTriplet,
-                    loss_spec: Optional[LossCompensatorSpec],
-                    surface0: ForwardSurface, time_grid, n_paths: int,
-                    seed: int) -> PathBundle:
-    """Simulate a handful of fully materialized paths.
-
-    Every grid node stores a surface snapshot per path, so memory grows as
-    n_paths * nodes * surface size; this is a diagnostic tool, not the bulk
-    engine. Path p draws its driver from seed + 2p and its loss path from
-    seed + 2p + 1, keeping the streams disjoint.
-    """
-    seed = check_seed(seed)
-    if n_paths < 1:
-        raise ConfigError("at least one path is required")
-    if n_paths > 256:
-        raise ConfigError(
-            f"bundles materialize full surfaces per node; {n_paths} paths "
-            f"would not fit comfortably (limit 256)"
-        )
-    grid = np.asarray(time_grid, dtype=float)
-    engine = SurfaceEngine(coeffs, triplet, loss_spec, surface0, grid)
-    nodes = list(range(len(grid)))
-    horizon = float(grid[-1])
-
-    records, loss_paths, all_surf = [], [], []
-    loss_levels = np.empty((n_paths, len(grid)))
-    discounts = np.empty((n_paths, len(grid)))
-    for p in range(n_paths):
-        record = simulate_increments(triplet, grid, seed + 2 * p)
-        lpath = (simulate_loss_path(loss_spec, horizon, seed + 2 * p + 1)
-                 if loss_spec is not None else None)
-        snaps: list = [None] * len(grid)
-
-        def collect(pos, state: PathState, _snaps=snaps, _p=p):
-            _snaps[pos] = engine.surface_snapshot(state, 0)
-            loss_levels[_p, pos] = state.loss[0]
-            discounts[_p, pos] = math.exp(-state.discount_log[0])
-
-        engine.run_chunk(1, 0, 0, [collect], nodes,
-                         injected=(record, lpath))
-        records.append(record)
-        loss_paths.append(lpath)
-        all_surf.append(tuple(snaps))
-
-    manifest = {"seed": seed, "n_paths": int(n_paths),
-                "grid": {"t0": float(grid[0]), "t1": horizon,
-                         "steps": int(len(grid) - 1)},
-                "per_path_seeds": "driver seed+2p, loss seed+2p+1"}
-    return PathBundle(
-        time_grid=grid, records=tuple(records), loss_paths=tuple(loss_paths),
-        surfaces=tuple(all_surf), loss_levels=loss_levels,
-        discounts=discounts, manifest=manifest,
-    )
-
-
 # ----- discrete-rate embedding check ----------------------------------------
 
 
@@ -619,7 +496,7 @@ def _window_rates(engine: SurfaceEngine, state: PathState,
     alive = state.loss <= x
     rate = np.where(
         alive,
-        np.expm1(_blend_columns(engine, state, x) @ w_cols) / (Tk1 - Tk),
+        np.expm1(engine.columns(state, x) @ w_cols) / (Tk1 - Tk),
         0.0,
     )
     return rate, alive
@@ -924,26 +801,18 @@ def _tranche_leg_values(flat_t: np.ndarray, flat_y: np.ndarray,
     """(payment leg, default leg) per path from ragged loss events.
 
     The events are the output of ``simulate_loss_paths_bulk``: flat arrays
-    sorted by path, then time, with per-path counts. Each event's loss
-    levels before and after the jump are summed from 0.0 slot by slot in
-    path order, so they equal a per-path ``np.cumsum`` bit for bit. The
-    tranche writedown of an event is dH = H(before) - H(after); the default
-    leg is the sum of disc(t_e) dH over events after T0, and the payment
-    leg uses H(L_{T_i}) = H(0) - sum_{t_e <= T_i} dH_e, so that
-    sum_i D_i H(L_{T_i}) = H(0) sum_i D_i - sum_e dH_e A(t_e) with
+    sorted by path, then time, with per-path counts. Each event's level
+    before the jump comes from ``levels_before`` and the level after it is
+    before + size. The tranche writedown of an event is dH = H(before) -
+    H(after); the default leg is the sum of disc(t_e) dH over events after
+    T0, and the payment leg uses H(L_{T_i}) = H(0) - sum_{t_e <= T_i} dH_e,
+    so that sum_i D_i H(L_{T_i}) = H(0) sum_i D_i - sum_e dH_e A(t_e) with
     A(t) = sum_{T_i >= t} D_i. Work and memory are O(events + paths).
     """
     n = len(counts)
     pid = np.repeat(np.arange(n), counts)
-    slot = np.arange(len(flat_t)) - (np.cumsum(counts) - counts)[pid]
-    before = np.zeros(len(flat_t))
-    after = np.empty(len(flat_t))
-    for s in range(int(counts.max(initial=0))):
-        idx = np.flatnonzero(slot == s)
-        if s:
-            before[idx] = after[idx - 1]
-        after[idx] = before[idx] + flat_y[idx]
-    dH = tranche.H(before) - tranche.H(after)
+    before = levels_before(flat_y, counts)
+    dH = tranche.H(before) - tranche.H(before + flat_y)
 
     coupons = np.asarray(tranche.coupon_dates, dtype=float)
     disc_coupons = _discount_at(surface0, coupons)

@@ -11,6 +11,7 @@ from levycdo.loss import (
     LossCompensatorSpec,
     LossPath,
     intensity_lambda,
+    levels_before,
     mx_compensated,
     simulate_loss_path,
     simulate_loss_paths_bulk,
@@ -223,6 +224,22 @@ def test_bulk_thinning_matches_path_by_path(spec):
     for g, w in zip(got, want):
         assert g.dtype == w.dtype
         np.testing.assert_array_equal(g, w)
+
+
+def test_levels_before_is_per_path_cumsum():
+    """Ragged events, zero-count paths among them: each event's pre-jump
+    level is the per-path ``np.cumsum`` of the earlier sizes, bit for bit."""
+    rng = np.random.default_rng(3)
+    counts = np.array([0, 3, 0, 1, 12, 0, 2, 0])
+    sizes = rng.uniform(0.01, 0.09, size=counts.sum())
+    got = levels_before(sizes, counts)
+    starts = np.cumsum(counts) - counts
+    want = np.concatenate([
+        np.concatenate([[0.0], np.cumsum(sizes[a:a + c])[:-1]])
+        for a, c in zip(starts, counts) if c
+    ])
+    np.testing.assert_array_equal(got, want)
+    assert levels_before(np.empty(0), np.zeros(4, dtype=int)).shape == (0,)
 
 
 @pytest.mark.parametrize("time_dependent", [False, True])

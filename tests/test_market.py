@@ -75,6 +75,14 @@ def test_tenor_structure_validation():
     np.testing.assert_allclose(tenor.accruals, 0.5)
 
 
+def test_tenor_accruals_are_computed_once():
+    tenor = TenorStructure([0.5, 1.0, 1.75], [1.0])
+    assert tenor.accruals is tenor.accruals
+    np.testing.assert_array_equal(tenor.accruals, [0.5, 0.75])
+    with pytest.raises(ValueError):
+        tenor.accruals[0] = 1.0
+
+
 def test_eta_examples():
     tenor = quarterly_tenor()
     assert tenor.eta(0.0) == 0          # before the first date
@@ -490,6 +498,32 @@ def test_simulated_rates_discount_to_the_initial_curve():
             f"discounted bond at T_{k}: mean {disc.mean():.6f}, "
             f"target {target:.6f}, se {se:.2e}"
         )
+
+
+def test_simulation_evaluates_each_loading_once_per_step_and_barrier():
+    """One beta(t, j, i) call per live period, step and barrier: the drift
+    and the shocks share one stack of loadings."""
+    tenor = TenorStructure([0.5, 1.0, 1.5], [0.4, 1.0])
+    trip = LevyTriplet(m=np.zeros(1), sigma=np.eye(1))
+    calls = []
+
+    def beta(t, k, i):
+        calls.append((t, k, i))
+        return np.array([0.1])
+
+    mspec = MarketCoefficientSpec(
+        tenor=tenor, dimension=1, beta=beta,
+        gamma=lambda t, ell, y, k, i: 0.0, triplet=trip,
+    )
+    loss = LossCompensatorSpec.constant(0.3, [(0.2, 1.0)])
+    grid = np.linspace(0.0, 1.5, 7)
+    simulate_market_model(mspec, loss, np.full((2, 2), 0.04), grid,
+                          n_paths=16, seed=3)
+    # the steps from 0, 0.25, 0.5 and 0.75 lie in period 0 and evolve rates
+    # (from 1.0 on nothing is left to evolve): 4 steps x periods 0..1 x 2
+    # barriers
+    assert len(calls) == 16
+    assert len(set(calls)) == 16
 
 
 def test_simulation_is_reproducible():

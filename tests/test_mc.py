@@ -1,7 +1,8 @@
 """Monte Carlo orchestration: the convergence sweep and thread-count
-invariance of the martingale verifier, the worker-count setting, the
-tranche oracle against its per-path loop and the closed form, and the
-European oracle against the closed form."""
+invariance of the martingale verifier, the worker-count setting, the bond
+values against snapshot bond prices, the tranche oracle against its
+per-path loop and the closed form, the European oracle against the closed
+form, and the embedding check with its power mutant."""
 
 import dataclasses
 import math
@@ -9,23 +10,26 @@ import math
 import numpy as np
 import pytest
 
-from levycdo.engine import build_master_grid
+from levycdo.engine import SurfaceEngine, build_master_grid
 from levycdo.families import (
     build_coefficients,
     constant_component,
     exp_decay_component,
     no_contagion,
 )
-from levycdo.hjm import ForwardSurface
+from levycdo.hjm import ForwardSurface, bond_price
 from levycdo.levy import JumpMeasureSpec, LevyTriplet
 from levycdo.errors import ConfigError, DomainError
-from levycdo.loss import simulate_loss_paths_bulk
+from levycdo.loss import LossCompensatorSpec, simulate_loss_paths_bulk
+from levycdo.market import TenorStructure
 from levycdo.mc import (
     _MIN_PATHS,
+    _discounted_bond_values,
     _tranche_leg_values,
     convergence_sweep,
     mc_european,
     mc_stcdo_legs,
+    run_embedding_check,
     run_martingale_test,
     thread_count,
 )
@@ -113,6 +117,53 @@ def test_martingale_csv_is_thread_invariant_with_events(jump_loss_scenario):
     """The same with driver jumps and ladder loss jumps in every chunk."""
     csv = _csv_by_threads(jump_loss_scenario)
     assert csv[1] == csv[2]
+
+
+# ----- bond values against snapshot bond prices -----------------------------
+
+
+def _callable_drift(t, T, x, ell):
+    # loss-free on the x = 1 slice, as the engine requires
+    return (0.002 * np.cos(t) * np.exp(-0.2 * T)
+            + (1.0 - x) * 0.01 * ell * (1.0 + t * T))
+
+
+@pytest.mark.filterwarnings("ignore:mark atoms above")
+@pytest.mark.parametrize("drift", ["no_arbitrage", _callable_drift],
+                         ids=["no_arbitrage", "callable"])
+def test_bond_values_match_snapshot_bond_prices(ladder_coeffs, gauss2,
+                                                ladder_surface, drift):
+    """Per path, the verifier's D_t P(t, T, x) equals exp(-R) times
+    ``bond_price`` on the path's ``surface_snapshot``: both readers take
+    the diagonal f(t, t, x) from ``SurfaceEngine.diagonal``. Report times
+    lie off the maturity grid, so the diagonal enters both; a fast loss
+    process reaches levels up to 0.85."""
+    coeffs = dataclasses.replace(ladder_coeffs, drift=drift)
+    loss = LossCompensatorSpec.constant(3.0, [(0.17, 1.0)])
+    report_times = (0.3, 0.7, 1.0)
+    grid = build_master_grid(1.0, 1 / 20, include=report_times)
+    engine = SurfaceEngine(coeffs, gauss2, loss, ladder_surface, grid)
+    nodes = [int(np.searchsorted(grid, t)) for t in report_times]
+    targets = [(T, float(x)) for T in (0.7, 1.3, 2.0)
+               for x in ladder_surface.barriers]
+    levels = set()
+
+    def collect(pos, state):
+        vals = _discounted_bond_values(engine, state, targets)
+        levels.update(np.round(state.loss, 12))
+        for p in range(len(state.loss)):
+            snap = engine.surface_snapshot(state, p)
+            disc = math.exp(-state.discount_log[p])
+            for m, (T, x) in enumerate(targets):
+                if T < state.t:
+                    assert np.isnan(vals[p, m])
+                    continue
+                want = disc * bond_price(snap, float(state.loss[p]), state.t,
+                                         T, x).price
+                assert abs(vals[p, m] - want) <= 1e-13 * abs(want), (p, T, x)
+
+    engine.run_chunk(96, 29, 0, [collect], nodes)
+    assert max(levels) >= 0.85 - 1e-9
 
 
 # ----- worker-count setting --------------------------------------------------
@@ -349,3 +400,46 @@ def test_european_oracle_detects_misaligned_barriers(ladder_coeffs, gauss2,
     the closed form, which the oracle must see."""
     z = _european_z(ladder_coeffs, gauss2, ladder_loss, (0.1, 0.2, 0.4, 1.0))
     assert abs(z) > 4.0
+
+
+# ----- embedding check ---------------------------------------------------------
+
+# The seed is fixed in advance for the clean run and the mutant.
+EMBED_SEED = 11
+
+
+def _embedding_report(coeffs, triplet):
+    surface = make_ladder_surface()
+    tenor = TenorStructure([0.5, 1.0, 1.5, 2.0, 2.5], surface.barriers)
+    return run_embedding_check(coeffs, triplet, None, surface, tenor,
+                               checkpoints=(0.5, 1.0), window=0.25,
+                               targets=((2, 0), (3, 2)), n_paths=20_000,
+                               seed=EMBED_SEED, dt=1 / 100)
+
+
+@pytest.fixture
+def gauss_embedding_coeffs():
+    comps = (constant_component([0.022, 0.0]),
+             exp_decay_component([0.0, 0.016], 0.4))
+    return build_coefficients(comps, no_contagion(), "no_arbitrage", 2)
+
+
+def test_embedding_check_passes_on_gaussian_model(gauss_embedding_coeffs,
+                                                  gauss2):
+    """Surface-induced discrete rates drift as the rate model states, and
+    the vectorized drift equals the rate-form routine path by path."""
+    rep = _embedding_report(gauss_embedding_coeffs, gauss2)
+    assert rep.passed()
+    assert rep.alpha_identity_gap <= 1e-10
+    assert len(rep.rows) == 4
+
+
+def test_embedding_check_detects_wrong_loadings(gauss_embedding_coeffs,
+                                                gauss2):
+    """Power: doubled volatility integrals double the discrete loadings
+    the model drift is built from, while the surface keeps its dynamics."""
+    b_integral = gauss_embedding_coeffs.b_integral
+    wrong = dataclasses.replace(
+        gauss_embedding_coeffs,
+        b_integral=lambda *a: 2.0 * np.asarray(b_integral(*a)))
+    assert not _embedding_report(wrong, gauss2).passed()
