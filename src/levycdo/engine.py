@@ -35,6 +35,12 @@ batched evaluation of the contagion rows and of the drift conversion per
 group. Drift tables are built per loss level,
 over every step's quadrature nodes at once, and cached.
 
+Building an engine costs a quadrature per node and the step tables, so
+callers that run one scenario again and again get it from ``_engine_for``,
+which keeps the last engine built and reuses it while the coefficient,
+driver and loss-spec objects are the same and the surface and grid equal
+the engine's own copies.
+
 Consequence leaned on by the test suite: with no Brownian part the whole
 scheme has no stepping error, so results are independent of the step size
 up to quadrature tolerance.
@@ -50,6 +56,7 @@ Barrier-dependent volatility is rejected with ConfigError.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -152,8 +159,20 @@ class PathState:
     offset: int               # global index of this chunk's first path
 
 
+def _read_only(a) -> np.ndarray:
+    """A read-only float copy of an array."""
+    out = np.array(a, dtype=float)
+    out.setflags(write=False)
+    return out
+
+
 class SurfaceEngine:
-    """Precomputed evolution machinery for one scenario and master grid."""
+    """Precomputed evolution machinery for one scenario and master grid.
+
+    The engine keeps read-only copies of the initial surface and of the
+    master grid, so a caller who edits either in place afterwards cannot
+    split the tables built at construction from what reports read.
+    """
 
     def __init__(self, coeffs: CoefficientSpec, triplet: LevyTriplet,
                  loss_spec: Optional[LossCompensatorSpec],
@@ -178,7 +197,7 @@ class SurfaceEngine:
                 "the engine requires barrier-flat volatility (b_x_flat); "
                 "named families provide it"
             )
-        grid = np.asarray(master_grid, dtype=float)
+        grid = _read_only(master_grid)
         if grid.ndim != 1 or len(grid) < 2 or np.any(np.diff(grid) <= 0):
             raise GridError("master grid must be strictly increasing with >= 2 nodes")
         if abs(grid[0] - surface0.t) > 1e-12:
@@ -188,10 +207,17 @@ class SurfaceEngine:
         self.coeffs = coeffs
         self.triplet = triplet
         self.loss_spec = loss_spec
-        self.surface0 = surface0
+        # own read-only copies: the drift and rate tables are built from
+        # these, and reports read them at every node
+        self.surface0 = dataclasses.replace(
+            surface0, maturities=_read_only(surface0.maturities),
+            barriers=_read_only(surface0.barriers),
+            values=_read_only(surface0.values),
+            diagonal=(None if surface0.diagonal is None
+                      else _read_only(surface0.diagonal)))
         self.grid = grid
-        self.maturities = np.asarray(surface0.maturities, dtype=float)
-        self.barriers = np.asarray(surface0.barriers, dtype=float)
+        self.maturities = self.surface0.maturities
+        self.barriers = self.surface0.barriers
         self.nT = len(self.maturities)
         self.nx = len(self.barriers)
         self.d = triplet.dimension
@@ -807,6 +833,50 @@ class SurfaceEngine:
         )
 
 
+_last_engine: Optional[SurfaceEngine] = None
+
+
+def _same_inputs(engine: SurfaceEngine, coeffs, triplet, loss_spec,
+                 surface0: ForwardSurface, master_grid) -> bool:
+    """Whether ``engine`` was built from these inputs: the same coefficient,
+    driver and loss-spec objects (frozen dataclasses), and a surface and
+    grid equal by value to the engine's own copies."""
+    if not (engine.coeffs is coeffs and engine.triplet is triplet
+            and engine.loss_spec is loss_spec):
+        return False
+    own = engine.surface0
+    if (surface0.t != own.t or surface0.x_interp != own.x_interp
+            or surface0.interpolate != own.interpolate
+            or (surface0.diagonal is None) != (own.diagonal is None)):
+        return False
+    pairs = [(master_grid, engine.grid), (surface0.maturities, own.maturities),
+             (surface0.barriers, own.barriers), (surface0.values, own.values)]
+    if own.diagonal is not None:
+        pairs.append((surface0.diagonal, own.diagonal))
+    return all(np.array_equal(np.asarray(a, dtype=float), b) for a, b in pairs)
+
+
+def _engine_for(coeffs: CoefficientSpec, triplet: LevyTriplet,
+                loss_spec: Optional[LossCompensatorSpec],
+                surface0: ForwardSurface, master_grid) -> SurfaceEngine:
+    """The engine for these inputs: the last one this helper built when
+    ``_same_inputs`` holds, else a new one, which takes its place.
+
+    Its caches hold deterministic values keyed by loss level or node, so a
+    reused engine gives the same floats as a new one; reuse saves the build
+    and every table the earlier calls filled. Two threads that miss at once
+    each build their own engine, and the slot keeps one of them.
+    """
+    global _last_engine
+    engine = _last_engine
+    if engine is not None and _same_inputs(engine, coeffs, triplet,
+                                           loss_spec, surface0, master_grid):
+        return engine
+    engine = SurfaceEngine(coeffs, triplet, loss_spec, surface0, master_grid)
+    _last_engine = engine
+    return engine
+
+
 def evolve_surface(surface: ForwardSurface, coeffs: CoefficientSpec,
                    triplet: LevyTriplet,
                    loss_spec: Optional[LossCompensatorSpec],
@@ -823,7 +893,7 @@ def evolve_surface(surface: ForwardSurface, coeffs: CoefficientSpec,
     rec_grid = np.asarray(levy_path.time_grid, dtype=float)
     if len(grid) != len(rec_grid) or np.max(np.abs(grid - rec_grid)) > 1e-12:
         raise GridError("time grid must coincide with the driver record's grid")
-    engine = SurfaceEngine(coeffs, triplet, loss_spec, surface, grid)
+    engine = _engine_for(coeffs, triplet, loss_spec, surface, grid)
     out: list = [None] * len(grid)
 
     def collect(pos, state: PathState):

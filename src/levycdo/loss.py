@@ -113,6 +113,12 @@ class LossCompensatorSpec:
         above 1 - ell carry zero intensity and are dropped. Warns (once per
         spec object) the first time truncation actually removes mass.
         """
+        ys, ps = self._supported_atoms(t, ell)
+        return ys, self._rate(t, ell) * ps
+
+    def _supported_atoms(self, t: float, ell: float):
+        """(sizes, probabilities) of the mark atoms the support rule keeps
+        at loss level ell, with the once-per-spec warning."""
         atoms = self.mark_atoms(t, ell)
         ys = np.array([a[0] for a in atoms])
         ps = np.array([a[1] for a in atoms])
@@ -122,12 +128,16 @@ class LossCompensatorSpec:
             warnings.warn(
                 f"mark atoms above 1 - loss = {1.0 - ell:.6g} removed from the "
                 "jump measure (support rule); total intensity is reduced",
-                stacklevel=2,
+                stacklevel=3,
             )
+        return ys[keep], ps[keep]
+
+    def _rate(self, t: float, ell: float) -> float:
+        """base_rate(t, ell), which must not be negative."""
         rate = self.base_rate(t, ell)
         if rate < 0:
             raise ConfigError(f"base rate is negative at (t={t}, l={ell})")
-        return ys[keep], rate * ps[keep]
+        return rate
 
     def total_intensity(self, t: float, ell: float) -> float:
         _, w = self.effective_atoms(t, ell)
@@ -250,12 +260,13 @@ def simulate_loss_paths_bulk(spec: LossCompensatorSpec, horizon: float,
     per still-active path, whether or not the proposal is accepted), so
     results depend only on the generator state, never on scheduling.
 
-    Each round groups the paths still inside the horizon by loss level.
-    For a time-independent spec, ``effective_atoms`` runs once per distinct
-    level, and acceptance and mark choice run as array operations on the
-    group; a time-dependent spec still costs one call per path. Either
-    way every path meets the same arithmetic as a path-by-path loop, so the
-    output is bit-identical to one.
+    Each round groups the paths still inside the horizon by loss level and
+    applies the support rule once per group. A time-independent spec gets
+    one ``effective_atoms`` call per group; a time-dependent one takes the
+    group's atoms once and calls ``base_rate`` once per path. Acceptance and
+    mark choice run as array operations on the group, and every path meets
+    the same arithmetic as in a path-by-path loop, so the output is
+    bit-identical to one.
     """
     if spec.max_rate <= 0:
         return np.empty(0), np.empty(0), np.zeros(n_paths, dtype=int)
@@ -271,27 +282,38 @@ def simulate_loss_paths_bulk(spec: LossCompensatorSpec, horizon: float,
         alive = t[active] <= horizon
         active = active[alive]
         u_acc, u_mark = u_acc[alive], u_mark[alive]
-        if spec.time_dependent:
-            groups = [np.array([j]) for j in range(len(active))]
-        else:
-            levels, inv = np.unique(ell[active], return_inverse=True)
-            groups = [np.flatnonzero(inv == g) for g in range(len(levels))]
-        for members in groups:
-            first = active[members[0]]
-            ys, ws = spec.effective_atoms(t[first], ell[first])
-            total = ws.sum()
-            if total > spec.max_rate * (1.0 + _RATE_TOL):
+        levels, inv = np.unique(ell[active], return_inverse=True)
+        for g, level in enumerate(levels):
+            members = np.flatnonzero(inv == g)
+            paths = active[members]
+            # ws[r] holds the intensities of the path in row r; one row
+            # serves the whole group when the rate does not depend on time
+            if spec.time_dependent:
+                ys, ps = spec._supported_atoms(t[paths[0]], level)
+                rates = np.array([spec._rate(u, level) for u in t[paths]])
+                ws = rates[:, None] * ps
+            else:
+                ys, w = spec.effective_atoms(t[paths[0]], level)
+                ws = w[None, :]
+            totals = ws.sum(axis=1)
+            over = totals > spec.max_rate * (1.0 + _RATE_TOL)
+            if over.any():
+                r = int(np.argmax(over))
                 raise BoundError(
-                    f"effective intensity {total:.6g} exceeds declared "
-                    f"majorant {spec.max_rate:.6g} at t={t[first]:.6g}"
+                    f"effective intensity {totals[r]:.6g} exceeds declared "
+                    f"majorant {spec.max_rate:.6g} at "
+                    f"t={t[paths[r]]:.6g}"
                 )
-            hit = members[u_acc[members] * spec.max_rate < total]
-            if not len(hit):
+            accept = u_acc[members] * spec.max_rate < totals
+            if not accept.any():
                 continue
-            cum = np.cumsum(ws / total)
-            pick = np.searchsorted(cum, u_mark[hit], side="right")
+            if len(ws) > 1:
+                ws, totals = ws[accept], totals[accept]
+            # searchsorted(cum, u, side="right") per row: cum never decreases
+            cum = np.cumsum(ws / totals[:, None], axis=1)
+            pick = np.sum(cum <= u_mark[members[accept]][:, None], axis=1)
             y = ys[pick.clip(0, len(ys) - 1)]
-            paths = active[hit]
+            paths = paths[accept]
             ev_p.append(paths)
             ev_t.append(t[paths])
             ev_y.append(y)

@@ -10,6 +10,15 @@ Work is split into fixed-size path chunks with dedicated random streams;
 chunk partials are combined by a pairwise tree in chunk order, so reports
 are bit-identical for a given seed manifest no matter how many worker
 threads run the chunks.
+
+Engines are shared across calls as well as across threads. Every verifier
+gets its engine from ``engine._engine_for``, which hands back the last
+engine it built when the new call passes the same coefficient, driver and
+loss-spec objects and an initial surface and master grid equal by value to
+the engine's own copies, and builds a new one otherwise. Repeated calls on
+one scenario (new seeds, more paths, the rows of a convergence sweep at
+one step size) therefore build once, and their reports are the same
+floats as with a freshly built engine.
 """
 
 from __future__ import annotations
@@ -24,7 +33,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .engine import PathState, SurfaceEngine, build_master_grid
+from .engine import PathState, SurfaceEngine, _engine_for, build_master_grid
 from .errors import (
     ConfigError,
     GridError,
@@ -113,9 +122,11 @@ def _run_chunks(engine: SurfaceEngine, n_paths: int, seed: int,
     partials in chunk order regardless of scheduling.
 
     ``make_collector()`` returns (collector, finish); ``finish()`` yields
-    the chunk's partial. The engine is shared: its lazily built caches hold
-    deterministic values keyed by immutable inputs, so concurrent fills are
-    idempotent and per-path state lives entirely in chunk-local arrays.
+    the chunk's partial. The engine is shared by the chunks, and by later
+    calls on the same inputs (see the module docstring): its lazily built
+    caches hold deterministic values keyed by loss level or node, so
+    concurrent fills are idempotent, a warm engine gives the same floats as
+    a cold one, and per-path state lives entirely in chunk-local arrays.
     """
     ranges = chunk_ranges(n_paths)
 
@@ -258,6 +269,22 @@ class MartingaleTestReport:
         return "\n".join(lines)
 
 
+def _check_martingale_inputs(n_list: Sequence[int], targets: Sequence,
+                             seed: int) -> int:
+    """Validate path counts, targets and seed before any engine is built;
+    returns the checked seed."""
+    seed = check_seed(seed)
+    for n_paths in n_list:
+        if n_paths < _MIN_PATHS:
+            raise ConfigError(
+                f"martingale test needs at least {_MIN_PATHS} paths for its "
+                f"z-scores to be meaningful, got {n_paths}"
+            )
+    if not targets:
+        raise ConfigError("at least one (T, x) target is required")
+    return seed
+
+
 def run_martingale_test(coeffs: CoefficientSpec, triplet: LevyTriplet,
                         loss_spec: Optional[LossCompensatorSpec],
                         surface0: ForwardSurface, n_paths: int,
@@ -276,34 +303,8 @@ def run_martingale_test(coeffs: CoefficientSpec, triplet: LevyTriplet,
     data would be noise either way.
     """
     seed = _check_martingale_inputs([n_paths], targets, seed)
-    engine = SurfaceEngine(coeffs, triplet, loss_spec, surface0,
-                           np.asarray(time_grid, dtype=float))
-    return _martingale_report(engine, n_paths, targets, seed, report_times,
-                              threads)
-
-
-def _check_martingale_inputs(n_list: Sequence[int], targets: Sequence,
-                             seed: int) -> int:
-    """Validate path counts, targets and seed before any engine is built;
-    returns the checked seed."""
-    seed = check_seed(seed)
-    for n_paths in n_list:
-        if n_paths < _MIN_PATHS:
-            raise ConfigError(
-                f"martingale test needs at least {_MIN_PATHS} paths for its "
-                f"z-scores to be meaningful, got {n_paths}"
-            )
-    if not targets:
-        raise ConfigError("at least one (T, x) target is required")
-    return seed
-
-
-def _martingale_report(engine: SurfaceEngine, n_paths: int, targets,
-                       seed: int, report_times,
-                       threads: Optional[int]) -> MartingaleTestReport:
-    """The martingale test on an already built engine (inputs checked)."""
+    engine = _engine_for(coeffs, triplet, loss_spec, surface0, time_grid)
     grid = engine.grid
-    surface0 = engine.surface0
     targets = tuple((float(T), float(x)) for T, x in targets)
 
     if report_times is None:
@@ -402,17 +403,18 @@ def convergence_sweep(coeffs: CoefficientSpec, triplet: LevyTriplet,
     rows within one dt are common-random-number coupled, which makes the
     standard-error scaling across N nearly deterministic. Rows across dt
     separate time-stepping bias (moves with dt) from statistics (moves
-    with N).
+    with N). Every row is ``run_martingale_test`` at its (dt, n); the rows
+    of one dt share one engine.
     """
     seed = _check_martingale_inputs(n_list, targets, seed)
     rows = []
     for dt in dt_list:
         grid = build_master_grid(horizon, float(dt),
                                  include=tuple(report_times))
-        engine = SurfaceEngine(coeffs, triplet, loss_spec, surface0, grid)
         for n in n_list:
-            rep = _martingale_report(engine, int(n), targets, seed,
-                                     report_times, threads)
+            rep = run_martingale_test(coeffs, triplet, loss_spec, surface0,
+                                      int(n), grid, targets, seed,
+                                      report_times, threads)
             flat = np.abs(np.nan_to_num(rep.z_scores, nan=0.0))
             it, im = np.unravel_index(int(np.argmax(flat)), flat.shape)
             rows.append(SweepRow(
@@ -576,7 +578,7 @@ def run_embedding_check(coeffs: CoefficientSpec, triplet: LevyTriplet,
         horizon, dt,
         include=tuple(checkpoints) + tuple(c + window for c in checkpoints),
     )
-    engine = SurfaceEngine(coeffs, triplet, loss_spec, surface0, grid)
+    engine = _engine_for(coeffs, triplet, loss_spec, surface0, grid)
     mspec = MarketCoefficientSpec.from_forward_coeffs(coeffs, triplet, tenor)
     sigma = triplet.sigma
     barriers = tenor.barriers
@@ -746,7 +748,7 @@ def mc_european(coeffs: CoefficientSpec, triplet: LevyTriplet,
     """
     seed = check_seed(seed)
     grid = build_master_grid(float(T), float(dt))
-    engine = SurfaceEngine(coeffs, triplet, loss_spec, surface0, grid)
+    engine = _engine_for(coeffs, triplet, loss_spec, surface0, grid)
     last = len(grid) - 1
 
     def make_collector():

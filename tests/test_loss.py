@@ -253,6 +253,19 @@ def test_bulk_thinning_respects_declared_majorant(time_dependent):
                                  32)
 
 
+@pytest.mark.parametrize("time_dependent", [False, True])
+def test_bulk_thinning_rejects_negative_rate(time_dependent):
+    """The rate turns negative after t = 0.5, where a time-dependent spec
+    reads it path by path."""
+    spec = LossCompensatorSpec.from_callable(
+        lambda t, l: 1.0 - 2.0 * t if time_dependent else -1.0,
+        [(0.1, 1.0)], max_rate=1.5, time_dependent=time_dependent,
+    )
+    with pytest.raises(ConfigError, match="negative"):
+        simulate_loss_paths_bulk(spec, 2.0, chunk_generator(1, STREAM_LOSS, 0),
+                                 64)
+
+
 def test_compensated_indicator_trivial_cases():
     """M is identically one when nothing can happen: zero rate, or x = 1."""
     quiet = LossCompensatorSpec.constant(0.0, [(0.5, 1.0)])

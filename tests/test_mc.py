@@ -1,8 +1,9 @@
 """Monte Carlo orchestration: the convergence sweep and thread-count
-invariance of the martingale verifier, the worker-count setting, the bond
-values against snapshot bond prices, the tranche oracle against its
-per-path loop and the closed form, the European oracle against the closed
-form, and the embedding check with its power mutant."""
+invariance of the martingale verifier, one engine per scenario across
+calls, the worker-count setting, the bond values against snapshot bond
+prices, the tranche oracle against its per-path loop and the closed form,
+the European oracle against the closed form, and the embedding check with
+its power mutant."""
 
 import dataclasses
 import math
@@ -10,11 +11,13 @@ import math
 import numpy as np
 import pytest
 
+import levycdo.engine as engine_module
 from levycdo.engine import SurfaceEngine, build_master_grid
 from levycdo.families import (
     build_coefficients,
     constant_component,
     exp_decay_component,
+    ladder_contagion,
     no_contagion,
 )
 from levycdo.hjm import ForwardSurface, bond_price
@@ -36,7 +39,7 @@ from levycdo.mc import (
 from levycdo.pricing import TranchePayoff, price_european, stcdo_value
 from levycdo.rng import CHUNK_SIZE, STREAM_LOSS, chunk_generator, chunk_ranges
 
-from conftest import make_ladder_surface
+from conftest import LADDER_MARK, LADDER_RATE, make_ladder_surface
 
 HORIZON = 1.0
 REPORT_TIMES = (0.5, 1.0)
@@ -117,6 +120,133 @@ def test_martingale_csv_is_thread_invariant_with_events(jump_loss_scenario):
     """The same with driver jumps and ladder loss jumps in every chunk."""
     csv = _csv_by_threads(jump_loss_scenario)
     assert csv[1] == csv[2]
+
+
+# ----- one engine per scenario across calls -----------------------------------
+
+
+@pytest.fixture
+def builds(monkeypatch):
+    """Counts ``SurfaceEngine`` builds, starting from an empty engine slot."""
+    monkeypatch.setattr(engine_module, "_last_engine", None)
+    count = [0]
+    init = SurfaceEngine.__init__
+
+    def counting_init(self, *args, **kwargs):
+        count[0] += 1
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(SurfaceEngine, "__init__", counting_init)
+    return count
+
+
+def _martingale(model, seed=5, threads=1, grid=None):
+    if grid is None:
+        grid = build_master_grid(HORIZON, 0.25, include=REPORT_TIMES)
+    return run_martingale_test(n_paths=_MIN_PATHS, time_grid=grid,
+                               targets=TARGETS, seed=seed,
+                               report_times=REPORT_TIMES, threads=threads,
+                               **model)
+
+
+def _same_rows(a, b) -> bool:
+    return all(np.array_equal(x, y, equal_nan=True) for x, y in (
+        (a.means, b.means), (a.std_errors, b.std_errors),
+        (a.z_scores, b.z_scores)))
+
+
+def test_repeated_calls_build_one_engine(jump_loss_scenario, gauss2,
+                                         gauss_embedding_coeffs, builds):
+    """Calls on the same inputs reuse the engine: the grid need only be
+    equal by value, and other seeds and path counts share it."""
+    grid = build_master_grid(HORIZON, 0.25, include=REPORT_TIMES)
+    for seed, g in ((5, grid), (6, grid), (7, grid.copy())):
+        _martingale(jump_loss_scenario, seed=seed, grid=g)
+    assert builds[0] == 1
+
+    euro = [mc_european(h=lambda loss: np.ones_like(loss), T=1.0,
+                        n_paths=2_000, seed=3, dt=1 / 20,
+                        **jump_loss_scenario) for _ in range(2)]
+    assert builds[0] == 2
+    assert euro[0] == euro[1]
+
+    embed = [_embedding_report(gauss_embedding_coeffs, gauss2, n_paths=2_000)
+             for _ in range(2)]
+    assert builds[0] == 3
+    assert embed[0].to_csv() == embed[1].to_csv()
+
+
+def test_other_model_rebuilds(jump_loss_scenario, builds):
+    """Models the benchmark's scenario fingerprint cannot tell apart (other
+    contagion rate, other component vectors) each get their own engine."""
+    comps = (constant_component([0.022, 0.0]),
+             exp_decay_component([0.0, 0.016], 0.4))
+    other_comps = (constant_component([0.015, 0.005]),
+                   exp_decay_component([0.004, 0.02], 0.4))
+    variants = [
+        jump_loss_scenario["coeffs"],
+        build_coefficients(comps, ladder_contagion(0.9, LADDER_MARK),
+                           "no_arbitrage", 2),
+        build_coefficients(other_comps,
+                           ladder_contagion(LADDER_RATE, LADDER_MARK),
+                           "no_arbitrage", 2),
+    ]
+    reports = [_martingale(dict(jump_loss_scenario, coeffs=c))
+               for c in variants]
+    assert builds[0] == 3
+    for i in range(3):
+        for j in range(i):
+            assert not np.array_equal(reports[i].means, reports[j].means,
+                                      equal_nan=True)
+
+
+@pytest.mark.parametrize("edit", ["surface", "grid"])
+def test_in_place_edit_rebuilds(jump_loss_scenario, builds, edit):
+    """Editing the caller's surface or grid in place between calls gives a
+    new engine, whose rows equal those of a freshly built one."""
+    grid = build_master_grid(HORIZON, 0.25, include=REPORT_TIMES)
+    before = _martingale(jump_loss_scenario, grid=grid)
+    if edit == "surface":
+        jump_loss_scenario["surface0"].values[:, :] += 0.002
+    else:
+        grid[1] = 0.2
+    after = _martingale(jump_loss_scenario, grid=grid)
+    assert builds[0] == 2
+    assert not _same_rows(before, after)
+    engine_module._last_engine = None
+    fresh = _martingale(jump_loss_scenario, grid=grid)
+    assert builds[0] == 3
+    assert _same_rows(after, fresh)
+
+
+def test_engine_keeps_its_own_inputs(jump_loss_scenario):
+    """The engine copies the surface and grid it is built from: in-place
+    edits by the caller do not reach it, and its copies are read-only."""
+    m = jump_loss_scenario
+    surface = m["surface0"]
+    grid = build_master_grid(HORIZON, 0.25, include=REPORT_TIMES)
+    engine = SurfaceEngine(m["coeffs"], m["triplet"], m["loss_spec"],
+                           surface, grid)
+    values, nodes = surface.values.copy(), grid.copy()
+    surface.values[:, :] += 0.002
+    grid[1] = 0.2
+    assert np.array_equal(engine.surface0.values, values)
+    assert np.array_equal(engine.grid, nodes)
+    for arr in (engine.grid, engine.surface0.values, engine.maturities):
+        with pytest.raises(ValueError):
+            arr[0] = 0.0
+
+
+def test_warm_engine_reproduces_cold_rows(jump_loss_scenario, builds):
+    """With driver jumps and ladder loss, a warm engine whose caches other
+    seeds filled gives the cold engine's CSV byte for byte: a cold call on
+    two threads against a warm call on one."""
+    cold = _martingale(jump_loss_scenario, seed=5, threads=2)
+    _martingale(jump_loss_scenario, seed=9)
+    warm = _martingale(jump_loss_scenario, seed=5, threads=1)
+    assert builds[0] == 1
+    assert warm.to_csv() == cold.to_csv()
+    assert _same_rows(warm, cold)
 
 
 # ----- bond values against snapshot bond prices -----------------------------
@@ -408,12 +538,12 @@ def test_european_oracle_detects_misaligned_barriers(ladder_coeffs, gauss2,
 EMBED_SEED = 11
 
 
-def _embedding_report(coeffs, triplet):
+def _embedding_report(coeffs, triplet, n_paths=20_000):
     surface = make_ladder_surface()
     tenor = TenorStructure([0.5, 1.0, 1.5, 2.0, 2.5], surface.barriers)
     return run_embedding_check(coeffs, triplet, None, surface, tenor,
                                checkpoints=(0.5, 1.0), window=0.25,
-                               targets=((2, 0), (3, 2)), n_paths=20_000,
+                               targets=((2, 0), (3, 2)), n_paths=n_paths,
                                seed=EMBED_SEED, dt=1 / 100)
 
 
