@@ -19,12 +19,17 @@ time grid. The scheme:
 The path state is separable: the surface is a deterministic part plus
 component accumulators times maturity shapes plus a per-path contagion
 adjustment, so paths carry only those accumulators, the loss level, the
-discount integral and the adjustment. The full surface is materialized
-only at report nodes; per-step work is O(n d) instead of O(n nT nx).
-Readers of a reported state go through ``SurfaceEngine.columns`` (the
-barrier-interpolated maturity columns) and ``SurfaceEngine.diagonal``, the
-one owner of the diagonal f(t, t, x): ``surface_snapshot`` and the Monte
-Carlo bond values both take it from there.
+discount integral and the adjustment; per-step work is O(n d) instead of
+O(n nT nx). At a report node the state goes to the collectors as it is,
+with the deterministic (nT, nx) table of each loss level present. The full
+(n, nT, nx) surface is materialized only when a reader asks for it
+(``PathState.values``). The readers work from the state in blocks of
+``_BLOCK_ROWS`` paths that stay in cache: ``maturity_integrals`` (the
+maturity integrals of barrier-interpolated columns behind the Monte Carlo
+bond values and rates), ``columns``, ``surface_snapshot`` and
+``diagonal``, the one owner of the diagonal f(t, t, x). Every one of them
+builds a surface value by the one rule of ``_block_column``, so they agree
+with the materialized surface bit for bit.
 
 Events are applied from tables built before stepping, not path by path.
 Driver jumps are bucketed by step and enter the accumulators and the
@@ -58,7 +63,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -85,6 +90,24 @@ from .rng import STREAM_LEVY, STREAM_LOSS, chunk_generator
 __all__ = ["SurfaceEngine", "PathState", "build_master_grid", "evolve_surface"]
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(4)
+
+# Paths per block of the report readers. A multiple of 64, so that block
+# edges fall on the four-row groups of OpenBLAS's row products and a
+# blocked product equals the whole one bit for bit. A block's temporaries
+# of 256 rows by 49 maturities (100 kB) stay in L2 and under glibc's
+# default 128 kB mmap threshold, so they are reused from the heap instead
+# of being mapped and faulted in anew; 512 rows ran 1.6x slower.
+_BLOCK_ROWS = 256
+
+
+def _row_blocks(n: int) -> list:
+    """[lo, hi) blocks of ``_BLOCK_ROWS`` rows covering n rows. A one-row
+    tail joins the block before it: numpy hands a one-row product to
+    another BLAS routine, whose sums round differently."""
+    edges = list(range(0, n, _BLOCK_ROWS)) + [n]
+    if len(edges) > 2 and edges[-1] - edges[-2] == 1:
+        del edges[-2]
+    return list(zip(edges[:-1], edges[1:]))
 
 
 def _gl_primitives() -> np.ndarray:
@@ -145,6 +168,12 @@ def build_master_grid(horizon: float, dt: float, include=()) -> np.ndarray:
 class PathState:
     """Per-chunk state handed to collectors at report nodes.
 
+    The forward surface of path p is ``tables[level_of[p]]`` plus
+    ``accumulators[p] @ psi(T)`` across the barriers plus ``adjust[p]``.
+    The full (n, nT, nx) array ``values`` is materialized only when a
+    reader asks for it, and then kept; the engine's readers work from the
+    state itself.
+
     The arrays are the engine's working buffers: consume them inside the
     collector (reduce, copy) rather than storing references, they mutate on
     the next step.
@@ -152,11 +181,24 @@ class PathState:
 
     t: float
     node: int                 # index into the engine's master grid
-    values: np.ndarray        # (n, nT, nx) forward surface per path
     loss: np.ndarray          # (n,) current loss level
     discount_log: np.ndarray  # (n,) int_0^t short rate ds
     short_rate: np.ndarray    # (n,) f(t, t, 1) per path
     offset: int               # global index of this chunk's first path
+    accumulators: np.ndarray  # (n, ncomp) component accumulators I
+    adjust: Optional[np.ndarray]  # (n, nT, nx) contagion adjustment
+    tables: np.ndarray        # (levels, nT, nx) deterministic part per level
+    level_of: Optional[np.ndarray]  # (n,) row of ``tables``; None: row 0
+    engine: "SurfaceEngine" = field(repr=False)
+    _values: Optional[np.ndarray] = field(default=None, repr=False)
+    _base: dict = field(default_factory=dict, repr=False)  # see _base_rows
+
+    @property
+    def values(self) -> np.ndarray:
+        """(n, nT, nx) forward surface per path, built on first read."""
+        if self._values is None:
+            self._values = self.engine._materialize(self)
+        return self._values
 
 
 def _read_only(a) -> np.ndarray:
@@ -228,6 +270,8 @@ class SurfaceEngine:
         self._has_extra = (loss_spec is not None) or (not self._drift_is_tag)
         self._extra_cache: dict = {}
         self._G_cache: dict = {}
+        # maturity weights of the Monte Carlo readers, by (start, end)
+        self._trapz_cache: dict = {}
 
         self._comps = coeffs.b_components
         self._ncomp = len(self._comps)
@@ -378,9 +422,11 @@ class SurfaceEngine:
         spec = self.loss_spec
         if spec is not None and self._no_arb:
             if spec.time_dependent:
-                atoms = [spec.effective_atoms(float(s), ell) for s in ss]
-                ys = atoms[0][0]
-                ws = np.array([w for _, w in atoms]).reshape(len(ss), len(ys))
+                # the support rule depends on the level only; the rate on
+                # the time as well
+                ys, ps = spec._supported_atoms(float(ss[0]), ell)
+                rates = np.array([spec._rate(float(s), ell) for s in ss])
+                ws = rates[:, None] * ps
             else:
                 ys, w = spec.effective_atoms(float(ss[0]), ell)
                 ws = np.broadcast_to(w, (len(ss), len(ys)))
@@ -751,41 +797,138 @@ class SurfaceEngine:
 
     def _emit_assembled(self, collectors, pos, node, ell, R, I, adjust, n,
                         offset):
-        """Materialize the chunk's surfaces at a report node and hand the
-        state to the collectors."""
-        vals = np.empty((n, self.nT, self.nx))
-        vals[:] = self.surface0.values + self.base_cum[node]
+        """Hand the chunk's state at a report node to the collectors.
+
+        No surface is assembled: the state carries the deterministic table
+        surface0 + base_cum + cum_extra(ell) of each loss level present,
+        and readers build what they need from it. Every term of the surface
+        is checked for finiteness here, whoever reads it: the tables, the
+        accumulators' maturity shapes (the accumulators themselves are
+        checked every step) and the adjustment.
+        """
+        table = self.surface0.values + self.base_cum[node]
+        level_of = None
         if self._has_extra:
-            levels = np.unique(ell)
+            levels, level_of = np.unique(ell, return_inverse=True)
+            tables = np.stack([table + self._cum_extra(lv)[node]
+                               for lv in levels])
             if len(levels) == 1:
-                vals += self._cum_extra(levels[0])[node]
-            else:
-                for lv in levels:
-                    vals[ell == lv] += self._cum_extra(lv)[node]
-        if self._ncomp:
-            vals += (I @ self._psi_T)[:, :, None]
-        if adjust is not None:
-            vals += adjust
-        if not math.isfinite(float(vals.sum())):
-            bad = np.argwhere(~np.isfinite(vals))[0]
+                level_of = None     # every row reads table 0
+        else:
+            tables = table[None]
+        bad = None
+        if not np.isfinite(tables).all():
+            bad = np.argwhere(~np.isfinite(tables))[0][1:]
+        elif self._ncomp and not np.isfinite(self._psi_T).all():
+            bad = (np.argwhere(~np.isfinite(self._psi_T))[0][1], 0)
+        elif adjust is not None and not math.isfinite(float(adjust.sum())):
+            bad = np.argwhere(~np.isfinite(adjust))[0][1:]
+        if bad is not None:
             raise StepError(
                 f"non-finite forward rate at t={self.grid[node]:.6g} (maturity "
-                f"{self.maturities[bad[1]]:.6g}, barrier "
-                f"{self.barriers[bad[2]]:.6g})"
+                f"{self.maturities[bad[0]]:.6g}, barrier "
+                f"{self.barriers[bad[1]]:.6g})"
             )
         r = self._G_at(node) + (I @ self._psi_at_node[node] if self._ncomp
                                 else np.zeros(n))
-        state = PathState(t=float(self.grid[node]), node=node, values=vals,
-                          loss=ell, discount_log=R, short_rate=r, offset=offset)
+        state = PathState(t=float(self.grid[node]), node=node, loss=ell,
+                          discount_log=R, short_rate=r, offset=offset,
+                          accumulators=I, adjust=adjust, tables=tables,
+                          level_of=level_of, engine=self)
         for fn in collectors:
             fn(pos, state)
 
     # ----- readers of the path state --------------------------------------
 
+    def _block_product(self, state: PathState, lo: int,
+                       hi: int) -> Optional[np.ndarray]:
+        """The accumulators' part I @ psi(T) of rows lo:hi, (hi - lo, nT);
+        shared by every barrier, since b is barrier-flat."""
+        if not self._ncomp:
+            return None
+        return state.accumulators[lo:hi] @ self._psi_T
+
+    def _base_rows(self, state: PathState, i: int) -> np.ndarray:
+        """The tables' maturity rows at grid barrier i, contiguous and
+        kept in the state: (levels, nT), or with one level a tile of as
+        many copies of its row as the largest block has rows, so that
+        adding it to a block is a plain elementwise sum."""
+        hit = state._base.get(i)
+        if hit is None:
+            rows = state.tables[:, :, i]
+            if state.level_of is None:
+                size = max(hi - lo for lo, hi in _row_blocks(len(state.loss)))
+                hit = np.repeat(rows, size, axis=0)
+            else:
+                hit = np.ascontiguousarray(rows)
+            state._base[i] = hit
+        return hit
+
+    def _block_column(self, state: PathState, lo: int, hi: int, i: int,
+                      prod: Optional[np.ndarray]) -> np.ndarray:
+        """Forward values of rows lo:hi at grid barrier i, (hi - lo, nT):
+        the one rule every reader builds surface values by.
+
+        Per element the sums run in one fixed order: the deterministic
+        table of the row's loss level, then the accumulators' part ``prod``
+        (rows lo:hi of ``_block_product``), then the contagion adjustment.
+        """
+        base = self._base_rows(state, i)
+        col = (base[:hi - lo] if state.level_of is None
+               else base[state.level_of[lo:hi]])
+        if prod is not None:
+            col = col + prod
+        if state.adjust is not None:
+            col = col + state.adjust[lo:hi, :, i]
+        return col
+
+    def _materialize(self, state: PathState) -> np.ndarray:
+        """The full (n, nT, nx) surface, block by block."""
+        n = len(state.loss)
+        vals = np.empty((n, self.nT, self.nx))
+        for lo, hi in _row_blocks(n):
+            prod = self._block_product(state, lo, hi)
+            for i in range(self.nx):
+                vals[lo:hi, :, i] = self._block_column(state, lo, hi, i, prod)
+        return vals
+
+    def maturity_integrals(self, state: PathState, queries) -> np.ndarray:
+        """``columns(state, x) @ w`` for each (x, w) in ``queries``: (n, q).
+
+        Works in blocks of ``_BLOCK_ROWS`` paths and never builds the full
+        surface. Each block computes the accumulators' part once for all
+        queries and each grid barrier's column once; the barrier mix and
+        the row product are those of ``columns``, so the result equals the
+        products on the materialized surface bit for bit.
+        """
+        n = len(state.loss)
+        out = np.empty((n, len(queries)))
+        mixes = [self.surface0.barrier_weights(float(x)) for x, _ in queries]
+        for lo, hi in _row_blocks(n):
+            prod = self._block_product(state, lo, hi)
+            cols: dict = {}
+            for q, ((_, w), (idx, wts)) in enumerate(zip(queries, mixes)):
+                for i in idx:
+                    if i not in cols:
+                        cols[i] = self._block_column(state, lo, hi, i, prod)
+                out[lo:hi, q] = sum(wt * cols[i]
+                                    for i, wt in zip(idx, wts)) @ w
+        return out
+
     def columns(self, state: PathState, x: float) -> np.ndarray:
-        """(n, nT) forward values at barrier x, barrier-interpolated."""
+        """(n, nT) forward values at barrier x, barrier-interpolated: from
+        the materialized surface when a reader has built it, else block by
+        block from the state; both give the same floats."""
         idx, wts = self.surface0.barrier_weights(float(x))
-        return sum(w * state.values[:, :, i] for i, w in zip(idx, wts))
+        if state._values is not None:
+            return sum(w * state._values[:, :, i] for i, w in zip(idx, wts))
+        n = len(state.loss)
+        out = np.empty((n, self.nT))
+        for lo, hi in _row_blocks(n):
+            prod = self._block_product(state, lo, hi)
+            out[lo:hi] = sum(w * self._block_column(state, lo, hi, i, prod)
+                             for i, w in zip(idx, wts))
+        return out
 
     def diagonal(self, state: PathState, x: float) -> np.ndarray:
         """The diagonal f(t, t, x) per path: the one rule behind snapshots
@@ -814,18 +957,31 @@ class SurfaceEngine:
         return np.asarray(np.polyval(coef, t), dtype=float)
 
     def surface_snapshot(self, state: PathState, path: int) -> ForwardSurface:
-        """Materialize one path's surface, with its diagonal f(t, t, x) at
-        every grid barrier from ``diagonal``."""
+        """One path's surface, built by the readers' rule for that row
+        alone, with its diagonal f(t, t, x) at every grid barrier from
+        ``diagonal``."""
+        lo, hi = next(b for b in _row_blocks(len(state.loss))
+                      if b[0] <= path < b[1])
+        prod = self._block_product(state, lo, hi)
+        if prod is not None:
+            prod = prod[path - lo:path - lo + 1]
+        row = np.empty((1, self.nT, self.nx))
+        for i in range(self.nx):
+            row[:, :, i] = self._block_column(state, path, path + 1, i, prod)
         sel = [path]
-        one = PathState(state.t, state.node, state.values[sel],
-                        state.loss[sel], state.discount_log[sel],
-                        state.short_rate[sel], state.offset + path)
+        one = dataclasses.replace(
+            state, loss=state.loss[sel], discount_log=state.discount_log[sel],
+            short_rate=state.short_rate[sel], offset=state.offset + path,
+            accumulators=state.accumulators[sel],
+            adjust=None if state.adjust is None else state.adjust[sel],
+            level_of=None if state.level_of is None else state.level_of[sel],
+            _values=row, _base={})
         diag = np.array([self.diagonal(one, float(x))[0]
                          for x in self.barriers])
         return ForwardSurface(
             maturities=self.maturities.copy(),
             barriers=self.barriers.copy(),
-            values=state.values[path].copy(),
+            values=row[0],
             t=state.t,
             diagonal=diag,
             x_interp=self.surface0.x_interp,

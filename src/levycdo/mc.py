@@ -186,20 +186,36 @@ def _trapz_layout(maturities: np.ndarray, a: float, b: float):
     return w_anchor, w_cols
 
 
+def _trapz_weights(engine: SurfaceEngine, a: float, b: float):
+    """``_trapz_layout`` on the engine's maturities, cached per engine by
+    (a, b) as ``_G_cache`` caches by node: a report node's time and a
+    target maturity, or a rate period's dates. The column weights are
+    read-only."""
+    key = (float(a), float(b))
+    hit = engine._trapz_cache.get(key)
+    if hit is None:
+        w0, w_cols = _trapz_layout(engine.maturities, key[0], key[1])
+        w_cols.setflags(write=False)
+        hit = engine._trapz_cache[key] = (w0, w_cols)
+    return hit
+
+
 def _discounted_bond_values(engine: SurfaceEngine, state: PathState,
                             targets) -> np.ndarray:
     """D_t P(t, T, x) per path and target, vectorized over the chunk."""
-    out = np.empty((len(state.loss), len(targets)))
+    out = np.full((len(state.loss), len(targets)), np.nan)
+    live = [m for m, (T, _) in enumerate(targets) if T >= state.t - 1e-12]
+    layouts = [_trapz_weights(engine, state.t, targets[m][0]) for m in live]
+    expos = engine.maturity_integrals(
+        state, [(targets[m][1], w) for m, (_, w) in zip(live, layouts)])
     disc = np.exp(-state.discount_log)
-    for m, (T, x) in enumerate(targets):
-        if T < state.t - 1e-12:
-            out[:, m] = np.nan
-            continue
-        w0, w_cols = _trapz_layout(engine.maturities, state.t, float(T))
-        expo = engine.columns(state, float(x)) @ w_cols
+    for j, m in enumerate(live):
+        x = float(targets[m][1])
+        w0 = layouts[j][0]
+        expo = expos[:, j]
         if w0 != 0.0:
-            expo = expo + w0 * engine.diagonal(state, float(x))
-        alive = state.loss <= float(x)
+            expo = expo + w0 * engine.diagonal(state, x)
+        alive = state.loss <= x
         out[:, m] = np.where(alive, disc * np.exp(-expo), 0.0)
     return out
 
@@ -492,15 +508,12 @@ def _window_rates(engine: SurfaceEngine, state: PathState,
     """
     Tk = float(tenor.maturities[k])
     Tk1 = float(tenor.maturities[k + 1])
-    w0, w_cols = _trapz_layout(engine.maturities, Tk, Tk1)
+    w0, w_cols = _trapz_weights(engine, Tk, Tk1)
     if w0 != 0.0:
         raise GridError("tenor dates must be maturity-grid nodes")
     alive = state.loss <= x
-    rate = np.where(
-        alive,
-        np.expm1(engine.columns(state, x) @ w_cols) / (Tk1 - Tk),
-        0.0,
-    )
+    expo = engine.maturity_integrals(state, [(x, w_cols)])[:, 0]
+    rate = np.where(alive, np.expm1(expo) / (Tk1 - Tk), 0.0)
     return rate, alive
 
 

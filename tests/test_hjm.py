@@ -826,6 +826,111 @@ def test_engine_flags_non_finite_drift(gauss2, ladder_surface):
                           [len(grid) - 1], injected=(rec, None))
 
 
+def test_engine_flags_non_finite_adjustment_before_any_reader(
+        ladder_coeffs, gauss2, ladder_loss, ladder_surface):
+    """A non-finite contagion row stops the run at the next report node,
+    naming its maturity and barrier, though the collector reads nothing."""
+    grid = build_master_grid(1.0, 0.25)
+    eng = SurfaceEngine(ladder_coeffs, gauss2, ladder_loss, ladder_surface,
+                        grid)
+    for lv in (0.0, LADDER_MARK):
+        eng._cum_extra(lv)      # drift tables built before the fault
+    rows = eng._c_rows
+
+    def bad_rows(ts, x, y, ell):
+        out = rows(ts, x, y, ell)
+        out[:, 30] = np.nan
+        return out
+
+    eng._c_rows = bad_rows
+    jump = LossPath(np.array([0.3]), np.array([LADDER_MARK]), 1.0)
+    T = eng.maturities[30]
+    with pytest.raises(StepError, match=f"t=0.5 .maturity {T:.6g}, barrier 0.3"):
+        eng.run_chunk(1, 0, 0, [lambda pos, state: None], [0, 1, 2],
+                      injected=(_zero_record(grid, 2), jump))
+
+
+def test_engine_flags_non_finite_level_table(ladder_coeffs, gauss2,
+                                             ladder_loss, ladder_surface):
+    grid = build_master_grid(1.0, 0.25)
+    eng = SurfaceEngine(ladder_coeffs, gauss2, ladder_loss, ladder_surface,
+                        grid)
+    table = eng._cum_extra(0.0).copy()
+    table[3, 40, 1] = np.inf
+    eng._cumX_cache[0.0] = table
+    T = eng.maturities[40]
+    with pytest.raises(StepError, match=f"t=0.75 .maturity {T:.6g}, barrier 0.55"):
+        eng.run_chunk(4, 0, 0, [lambda pos, state: None], [1, 2, 3])
+
+
+def _former_extra_drift(engine, ss, ell):
+    """The loss part of the drift table as built before the support rule
+    was taken once per level: one ``effective_atoms`` call per time."""
+    out = np.zeros((len(ss), engine.nT, engine.nx))
+    spec = engine.loss_spec
+    atoms = [spec.effective_atoms(float(s), ell) for s in ss]
+    ys = atoms[0][0]
+    ws = np.array([w for _, w in atoms]).reshape(len(ss), len(ys))
+    for i, x in enumerate(engine.barriers):
+        if ell > x:
+            continue
+        for k, y in enumerate(ys):
+            if ell + y > x or not ws[:, k].any():
+                continue
+            crow = engine._c_rows(ss, float(x), float(y), ell)
+            cstar = engine._c_star_rows(ss, float(x), float(y), ell)
+            out[:, :, i] -= ws[:, k, None] * crow * np.exp(-cstar)
+    return out
+
+
+@pytest.mark.filterwarnings("ignore:mark atoms above")
+def test_time_dependent_drift_table_takes_support_rule_once_per_level(
+        monkeypatch, ladder_coeffs, gauss2, ladder_surface):
+    """Under a time-dependent loss spec the drift tables take the support
+    rule once per loss level and the rate once per quadrature time; the
+    table is the one the per-time construction gave."""
+    spec = LossCompensatorSpec.from_callable(
+        lambda t, l: LADDER_RATE * (1.0 + 0.5 * np.sin(3.0 * t)),
+        [(LADDER_MARK, 1.0)], max_rate=1.5 * LADDER_RATE)
+    grid = build_master_grid(2.0, 1 / 50)
+    eng = SurfaceEngine(ladder_coeffs, gauss2, spec, ladder_surface, grid)
+    ss = eng._gl_times.reshape(-1)
+    for lv in (0.0, 0.34, 0.85):
+        assert np.array_equal(eng._extra_drift_matrix_at(ss, lv),
+                              _former_extra_drift(eng, ss, lv))
+
+    calls = {"support": 0, "effective": 0}
+    inside = [False]
+    drift_at = SurfaceEngine._extra_drift_matrix_at
+    support = LossCompensatorSpec._supported_atoms
+    effective = LossCompensatorSpec.effective_atoms
+
+    def drift_wrapper(self, ss, ell):
+        inside[0] = True
+        try:
+            return drift_at(self, ss, ell)
+        finally:
+            inside[0] = False
+
+    def counter(name, fn):
+        def wrapper(*args):
+            calls[name] += inside[0]
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(SurfaceEngine, "_extra_drift_matrix_at", drift_wrapper)
+    monkeypatch.setattr(LossCompensatorSpec, "_supported_atoms",
+                        counter("support", support))
+    monkeypatch.setattr(LossCompensatorSpec, "effective_atoms",
+                        counter("effective", effective))
+    ladder = LossCompensatorSpec.from_callable(
+        lambda t, l: LADDER_RATE, [(LADDER_MARK, 1.0)], LADDER_RATE)
+    chunk = SurfaceEngine(ladder_coeffs, gauss2, ladder, ladder_surface, grid)
+    chunk.run_chunk(16_384, 7, 0, [lambda pos, state: None], [len(grid) - 1])
+    assert len(chunk._extra_cache) == 6
+    assert calls == {"support": 6, "effective": 0}
+
+
 def test_evolve_surface_checks_grid(ladder_coeffs, gauss2, ladder_surface):
     grid = np.linspace(0.0, 1.0, 9)
     rec = _zero_record(np.linspace(0.0, 1.0, 17), 2)
