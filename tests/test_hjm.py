@@ -863,6 +863,33 @@ def test_engine_flags_non_finite_level_table(ladder_coeffs, gauss2,
         eng.run_chunk(4, 0, 0, [lambda pos, state: None], [1, 2, 3])
 
 
+def test_engine_names_first_non_finite_rate_of_the_surface(
+        ladder_coeffs, gauss2, ladder_loss, ladder_surface):
+    """With a non-finite contagion row and a non-finite level table at the
+    same node, the error names the surface's first non-finite rate in
+    (path, maturity, barrier) order: the adjustment's, at the earlier
+    maturity, not the table's."""
+    grid = build_master_grid(1.0, 0.25)
+    eng = SurfaceEngine(ladder_coeffs, gauss2, ladder_loss, ladder_surface,
+                        grid)
+    table = eng._cum_extra(LADDER_MARK).copy()
+    table[2, 40, 1] = np.inf
+    eng._cumX_cache[LADDER_MARK] = table
+    eng._cum_extra(0.0)
+    rows = eng._c_rows
+
+    def bad_rows(ts, x, y, ell):
+        out = rows(ts, x, y, ell)
+        out[:, 30] = np.nan
+        return out
+
+    eng._c_rows = bad_rows
+    jump = LossPath(np.array([0.3]), np.array([LADDER_MARK]), 1.0)
+    T = eng.maturities[30]
+    with pytest.raises(StepError, match=f"t=0.5 .maturity {T:.6g}, barrier 0.3"):
+        eng.run_chunk(1, 0, 0, [lambda pos, state: None], [0, 1, 2],
+                      injected=(_zero_record(grid, 2), jump))
+
 def _former_extra_drift(engine, ss, ell):
     """The loss part of the drift table as built before the support rule
     was taken once per level: one ``effective_atoms`` call per time."""

@@ -2,7 +2,8 @@
 lazily materialized surface and the snapshot against the former eager
 assembly and the products on the materialized surface, bit for bit; no
 full surface on the verifiers' route; the embedding check's rates against
-the materialized route."""
+the materialized route; non-finite sums of finite terms caught by the
+readers that build them."""
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ import pytest
 import levycdo.engine as engine_module
 import levycdo.mc as mc_module
 from levycdo.engine import SurfaceEngine, build_master_grid
+from levycdo.errors import StepError
 from levycdo.families import (
     build_coefficients,
     constant_component,
@@ -97,14 +99,11 @@ def test_blocked_readers_equal_materialized_surface(event_engine, n):
         paths = [0, n - 1, n // 2, n - 2]
         snaps = [engine.surface_snapshot(state, p) for p in paths]
         got = engine.maturity_integrals(state, queries)
-        cols = {x: engine.columns(state, x) for x in (0.4, 1.0)}
         assert state._values is None          # nothing built the surface
         assert np.array_equal(state.values, _eager_surface(engine, state))
         for q, (x, w) in enumerate(queries):
             want = _materialized_columns(engine, state, x) @ w
             assert np.array_equal(got[:, q], want), (state.t, x)
-        for x, col in cols.items():
-            assert np.array_equal(col, _materialized_columns(engine, state, x))
         for p, snap in zip(paths, snaps):
             assert np.array_equal(snap.values, state.values[p])
         seen.append((t, len(np.unique(state.loss))))
@@ -171,3 +170,35 @@ def test_row_blocks_cover_rows_on_aligned_edges():
         assert all(a[1] == b[0] for a, b in zip(blocks, blocks[1:]))
         assert all(lo % 64 == 0 for lo, _ in blocks)
         assert n == 1 or all(hi - lo >= 2 for lo, hi in blocks)
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+def test_readers_flag_non_finite_sum_of_finite_terms(ladder_coeffs, gauss2):
+    """Every term is finite at the report node, so the engine hands the
+    state over; the sum of a table at the float maximum and a large
+    accumulator product overflows, and each reader that builds it stops
+    with StepError naming the maturity and barrier."""
+    grid = build_master_grid(1.0, 0.25)
+    engine = SurfaceEngine(ladder_coeffs, gauss2, None, make_ladder_surface(),
+                           grid)
+    j = engine.nT - 1
+    psi = engine._psi_T[:, j]
+    T = engine.maturities[j]
+    match = f"t=0.5 .maturity {T:.6g}, barrier {engine.barriers[0]:.6g}"
+    seen = []
+
+    def overflow(pos, state):
+        state.tables[0, j] = np.finfo(float).max
+        state.accumulators[BLOCK + 3] = 1e300 * psi / (psi @ psi)
+        w = _trapz_layout(engine.maturities, state.t, T)[1]
+        with pytest.raises(StepError, match=match):
+            engine.maturity_integrals(state, [(1.0, w)])
+        with pytest.raises(StepError, match=match):
+            engine.surface_snapshot(state, BLOCK + 3)
+        with pytest.raises(StepError, match=match):
+            state.values
+        engine.surface_snapshot(state, 0)     # other rows stay finite
+        seen.append(state.t)
+
+    engine.run_chunk(2 * BLOCK, 1, 0, [overflow], [2])
+    assert seen == [0.5]
