@@ -21,16 +21,18 @@ component accumulators times maturity shapes plus a per-path contagion
 adjustment, so paths carry only those accumulators, the loss level, the
 discount integral and the adjustment; per-step work is O(n d) instead of
 O(n nT nx). At a report node the state goes to the collectors as it is,
-with the deterministic (nT, nx) table of each loss level present. The full
+with the deterministic (nT, nx) table of each loss level present and an
+integer array ``level_of`` that gives each path its table. The full
 (n, nT, nx) surface is materialized only when a reader asks for it
 (``PathState.values``, which ``columns`` reads). ``maturity_integrals``
 (the maturity integrals of barrier-interpolated columns behind the Monte
 Carlo bond values and rates) works from the state in blocks of
 ``_BLOCK_ROWS`` paths that stay in cache, and ``surface_snapshot`` builds
 its one row alone. The materialized surface, the blocks and the snapshot
-row all build a surface value by the one rule of ``_block_column``, so
-they agree bit for bit. ``diagonal`` is the one owner of the diagonal
-f(t, t, x).
+row all build a surface value by the one rule of ``_block_column``, and
+``columns`` and ``maturity_integrals`` mix barrier columns by the one rule
+of ``hjm.mix_columns``, so they agree bit for bit. ``diagonal`` is the one
+owner of the diagonal f(t, t, x).
 
 Events are applied from tables built before stepping, not path by path.
 Driver jumps are bucketed by step and enter the accumulators and the
@@ -71,7 +73,7 @@ import numpy as np
 from scipy.integrate import quad
 
 from .errors import BoundError, ConfigError, GridError, StepError
-from .hjm import CoefficientSpec, ForwardSurface, c_star
+from .hjm import CoefficientSpec, ForwardSurface, c_star, mix_columns
 from .levy import (
     LevyPathRecord,
     LevyTriplet,
@@ -171,9 +173,11 @@ class PathState:
 
     The forward surface of path p is ``tables[level_of[p]]`` plus
     ``accumulators[p] @ psi(T)`` across the barriers plus ``adjust[p]``.
-    The full (n, nT, nx) array ``values`` is materialized only when a
-    reader asks for it, and then kept; ``maturity_integrals`` and
-    ``surface_snapshot`` work from the state itself.
+    ``level_of`` is always an integer array, all zeros when the state
+    carries one table. The full (n, nT, nx) array ``values`` is
+    materialized only when a reader asks for it, and then kept;
+    ``maturity_integrals`` and ``surface_snapshot`` work from the state
+    itself.
 
     The arrays are the engine's working buffers and change in place on the
     next step. ``values``, the engine's readers (``maturity_integrals``,
@@ -195,10 +199,9 @@ class PathState:
     accumulators: np.ndarray  # (n, ncomp) component accumulators I
     adjust: Optional[np.ndarray]  # (n, nT, nx) contagion adjustment
     tables: np.ndarray        # (levels, nT, nx) deterministic part per level
-    level_of: Optional[np.ndarray]  # (n,) row of ``tables``; None: row 0
+    level_of: np.ndarray      # (n,) int: row of ``tables`` per path
     engine: "SurfaceEngine" = field(repr=False)
     _values: Optional[np.ndarray] = field(default=None, repr=False)
-    _base: dict = field(default_factory=dict, repr=False)  # see _base_rows
 
     @property
     def values(self) -> np.ndarray:
@@ -817,14 +820,12 @@ class SurfaceEngine:
         the readers that build it.
         """
         table = self.surface0.values + self.base_cum[node]
-        level_of = None
         if self._has_extra:
             levels, level_of = np.unique(ell, return_inverse=True)
             tables = np.stack([table + self._cum_extra(lv)[node]
                                for lv in levels])
-            if len(levels) == 1:
-                level_of = None     # every row reads table 0
         else:
+            level_of = np.zeros(n, dtype=np.intp)
             tables = table[None]
         r = self._G_at(node) + (I @ self._psi_at_node[node] if self._ncomp
                                 else np.zeros(n))
@@ -849,49 +850,22 @@ class SurfaceEngine:
             return None
         return state.accumulators[lo:hi] @ self._psi_T
 
-    def _base_rows(self, state: PathState, i: int) -> np.ndarray:
-        """The tables' maturity rows at grid barrier i, contiguous and
-        kept in the state: (levels, nT), or with one level a tile of as
-        many copies of its row as the largest block has rows, so that
-        adding it to a block is a plain elementwise sum (``every_node``
-        ran 1.26x faster than with a broadcast add of the one row)."""
-        hit = state._base.get(i)
-        if hit is None:
-            rows = state.tables[:, :, i]
-            if state.level_of is None:
-                size = max(hi - lo for lo, hi in _row_blocks(len(state.loss)))
-                hit = np.repeat(rows, size, axis=0)
-            else:
-                hit = np.ascontiguousarray(rows)
-            state._base[i] = hit
-        return hit
-
     def _block_column(self, state: PathState, lo: int, hi: int, i: int,
                       prod: Optional[np.ndarray]) -> np.ndarray:
         """Forward values of rows lo:hi at grid barrier i, (hi - lo, nT):
         the one rule every reader builds surface values by.
 
         Per element the sums run in one fixed order: the deterministic
-        table of the row's loss level, then the accumulators' part ``prod``
-        (rows lo:hi of ``_block_product``), then the contagion adjustment.
+        table of the row's loss level (``level_of``), then the
+        accumulators' part ``prod`` (rows lo:hi of ``_block_product``), then
+        the contagion adjustment.
         """
-        base = self._base_rows(state, i)
-        col = (base[:hi - lo] if state.level_of is None
-               else base[state.level_of[lo:hi]])
+        col = state.tables[:, :, i].take(state.level_of[lo:hi], axis=0)
         if prod is not None:
-            col = col + prod
+            col += prod
         if state.adjust is not None:
-            col = col + state.adjust[lo:hi, :, i]
+            col += state.adjust[lo:hi, :, i]
         return col
-
-    def _block_values(self, state: PathState, lo: int,
-                      hi: int) -> np.ndarray:
-        """Surface of rows lo:hi, (hi - lo, nT, nx), by ``_block_column``."""
-        prod = self._block_product(state, lo, hi)
-        vals = np.empty((hi - lo, self.nT, self.nx))
-        for i in range(self.nx):
-            vals[:, :, i] = self._block_column(state, lo, hi, i, prod)
-        return vals
 
     def _check_finite(self, t: float, vals: np.ndarray) -> None:
         """StepError naming the maturity and barrier of the first
@@ -904,12 +878,14 @@ class SurfaceEngine:
             )
 
     def _materialize(self, state: PathState) -> np.ndarray:
-        """The full (n, nT, nx) surface, block by block; StepError if a
-        rate is not finite."""
+        """The full (n, nT, nx) surface, block by block by
+        ``_block_column``; StepError naming the first non-finite rate."""
         n = len(state.loss)
         vals = np.empty((n, self.nT, self.nx))
         for lo, hi in _row_blocks(n):
-            vals[lo:hi] = self._block_values(state, lo, hi)
+            prod = self._block_product(state, lo, hi)
+            for i in range(self.nx):
+                vals[lo:hi, :, i] = self._block_column(state, lo, hi, i, prod)
         self._check_finite(state.t, vals)
         return vals
 
@@ -918,35 +894,33 @@ class SurfaceEngine:
 
         Works in blocks of ``_BLOCK_ROWS`` paths and never builds the full
         surface. Each block computes the accumulators' part once for all
-        queries and each grid barrier's column once; the barrier mix and
-        the row product are those of ``columns``, so the result equals the
-        products on the materialized surface bit for bit.
+        queries and each grid barrier's column once; the barrier mix
+        (``mix_columns``) and the row product are those of ``columns``, so
+        the result equals the products on the materialized surface bit for
+        bit.
         """
         n = len(state.loss)
         out = np.empty((n, len(queries)))
         mixes = [self.surface0.barrier_weights(float(x)) for x, _ in queries]
+        needed = {i for idx, _ in mixes for i in idx}
         for lo, hi in _row_blocks(n):
             prod = self._block_product(state, lo, hi)
-            cols: dict = {}
-            for q, ((_, w), (idx, wts)) in enumerate(zip(queries, mixes)):
-                for i in idx:
-                    if i not in cols:
-                        cols[i] = self._block_column(state, lo, hi, i, prod)
-                out[lo:hi, q] = sum(wt * cols[i]
-                                    for i, wt in zip(idx, wts)) @ w
+            cols = {i: self._block_column(state, lo, hi, i, prod)
+                    for i in needed}
+            for q, ((_, w), mix) in enumerate(zip(queries, mixes)):
+                out[lo:hi, q] = mix_columns(mix, cols.__getitem__) @ w
         if not np.isfinite(out).all():
             # a non-finite rate in a column makes its integral non-finite,
             # whatever its weight: name it, else the overflowed integral
-            lo, hi = next(b for b in _row_blocks(n)
-                          if not np.isfinite(out[b[0]:b[1]]).all())
-            self._check_finite(state.t, self._block_values(state, lo, hi))
+            self._materialize(state)
             raise StepError(f"non-finite maturity integral at t={state.t:.6g}")
         return out
 
     def columns(self, state: PathState, x: float) -> np.ndarray:
-        """(n, nT) forward values at barrier x, barrier-interpolated."""
-        idx, wts = self.surface0.barrier_weights(float(x))
-        return sum(w * state.values[:, :, i] for i, w in zip(idx, wts))
+        """(n, nT) forward values at barrier x, barrier-interpolated from
+        the materialized surface; at a grid barrier a view of it."""
+        return mix_columns(self.surface0.barrier_weights(float(x)),
+                           lambda i: state.values[:, :, i])
 
     def diagonal(self, state: PathState, x: float) -> np.ndarray:
         """The diagonal f(t, t, x) per path: the one rule behind snapshots
@@ -977,9 +951,11 @@ class SurfaceEngine:
     def surface_snapshot(self, state: PathState, path: int) -> ForwardSurface:
         """One path's surface, built by the readers' rule for that row
         alone, with its diagonal f(t, t, x) at every grid barrier from
-        ``diagonal``."""
-        lo, hi = next(b for b in _row_blocks(len(state.loss))
-                      if b[0] <= path < b[1])
+        ``diagonal``. IndexError for a path outside the chunk."""
+        n = len(state.loss)
+        if not 0 <= path < n:
+            raise IndexError(f"path {path} outside the chunk of {n} paths")
+        lo, hi = next(b for b in _row_blocks(n) if b[0] <= path < b[1])
         prod = self._block_product(state, lo, hi)
         if prod is not None:
             prod = prod[path - lo:path - lo + 1]
@@ -993,8 +969,7 @@ class SurfaceEngine:
             short_rate=state.short_rate[sel], offset=state.offset + path,
             accumulators=state.accumulators[sel],
             adjust=None if state.adjust is None else state.adjust[sel],
-            level_of=None if state.level_of is None else state.level_of[sel],
-            _values=row, _base={})
+            level_of=state.level_of[sel], _values=row)
         diag = np.array([self.diagonal(one, float(x))[0]
                          for x in self.barriers])
         return ForwardSurface(

@@ -253,6 +253,20 @@ class BondQuote:
     alive: bool
 
 
+def mix_columns(weights, column):
+    """A barrier query's value from stored barrier columns: the one mix rule.
+
+    ``weights`` is the (indices, weights) pair of
+    ``ForwardSurface.barrier_weights`` and ``column(j)`` returns stored
+    column j. A query on one grid barrier gets ``column(j)`` itself (its
+    weight is 1.0), two get ``w0 * column(j0) + w1 * column(j1)``.
+    """
+    idx, wts = weights
+    if len(idx) == 1:
+        return column(idx[0])
+    return wts[0] * column(idx[0]) + wts[1] * column(idx[1])
+
+
 @dataclass
 class ForwardSurface:
     """Forward rates on a (maturity, barrier) grid at one observation time.
@@ -340,8 +354,7 @@ class ForwardSurface:
         Ts = self.maturities
         if not Ts[0] - _T_SNAP <= T <= Ts[-1] + _T_SNAP:
             raise GridError(f"maturity {T} outside the grid span")
-        idx, wts = self.barrier_weights(x)
-        col = sum(w * self.values[:, j] for j, w in zip(idx, wts))
+        col = mix_columns(self.barrier_weights(x), lambda j: self.values[:, j])
         return float(np.interp(T, Ts, col))
 
     def _live_rows(self):
@@ -366,9 +379,8 @@ class ForwardSurface:
 
     def _live_curve(self, x_idx_weights):
         """Maturity knots and values for T >= t, diagonal-anchored."""
-        idx, wts = x_idx_weights
         knots, rows = self._live_rows()
-        return knots, sum(w * rows[:, j] for j, w in zip(idx, wts))
+        return knots, mix_columns(x_idx_weights, lambda j: rows[:, j])
 
     def column_integrals(self, dates, columns=slice(None)):
         """Forward values and maturity integrals of stored barrier columns.

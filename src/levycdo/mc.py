@@ -73,6 +73,9 @@ __all__ = [
 
 Z_THRESHOLD = 4.0
 _MIN_PATHS = 10_000
+# paths per row that the embedding check replays through the rate-form
+# drift routine (``EmbeddingReport.alpha_identity_gap``)
+_IDENTITY_SAMPLE = 64
 
 
 def thread_count(requested: Optional[int] = None) -> int:
@@ -113,6 +116,14 @@ def _tree_sum(parts: list):
             nxt.append(parts[-1])
         parts = nxt
     return parts[0]
+
+
+def _mean_se(s1, s2, n: int):
+    """(mean, standard error) of n paths from their sums of values s1 and
+    of squares s2: the one moments rule of the verifiers and oracles."""
+    mean = s1 / n
+    var = np.maximum(s2 - n * mean ** 2, 0.0) / (n - 1)
+    return mean, np.sqrt(var / n)
 
 
 def _run_chunks(engine: SurfaceEngine, n_paths: int, seed: int,
@@ -354,9 +365,7 @@ def run_martingale_test(coeffs: CoefficientSpec, triplet: LevyTriplet,
         bond_price(surface0, 0.0, float(grid[0]), T, x).price
         for T, x in targets
     ])
-    means = s1 / n_paths
-    var = np.maximum(s2 - n_paths * means ** 2, 0.0) / (n_paths - 1)
-    ses = np.sqrt(var / n_paths)
+    means, ses = _mean_se(s1, s2, n_paths)
     mask = times[:, None] <= np.array([T for T, _ in targets])[None, :] + 1e-12
 
     dev = means - reference[None, :]
@@ -522,8 +531,8 @@ def run_embedding_check(coeffs: CoefficientSpec, triplet: LevyTriplet,
                         surface0: ForwardSurface, tenor: TenorStructure,
                         checkpoints: Sequence[float], window: float,
                         targets: Sequence, n_paths: int, seed: int,
-                        dt: float = 1e-3, threads: Optional[int] = None,
-                        identity_sample: int = 64) -> EmbeddingReport:
+                        dt: float = 1e-3,
+                        threads: Optional[int] = None) -> EmbeddingReport:
     """Verify that surface-induced discrete rates drift as the rate model
     prescribes.
 
@@ -551,7 +560,7 @@ def run_embedding_check(coeffs: CoefficientSpec, triplet: LevyTriplet,
     [first date, last date): earlier, the current-period stub integral
     breaks the telescoping the covariance sum relies on.
 
-    The first chunk also replays ``identity_sample`` paths per row through
+    The first chunk also replays ``_IDENTITY_SAMPLE`` paths per row through
     the rate-form drift routine with per-path relative loadings; the
     largest gap against the vectorized expression is reported as
     ``alpha_identity_gap``.
@@ -655,7 +664,7 @@ def run_embedding_check(coeffs: CoefficientSpec, triplet: LevyTriplet,
                     float(tenor.maturities[j]),
                     float(tenor.maturities[j + 1]), x)) / accruals[j])
                 period_rates[j] = np.full(len(state.loss), r0)
-        for p in np.flatnonzero(alive)[:identity_sample]:
+        for p in np.flatnonzero(alive)[:_IDENTITY_SAMPLE]:
             states = [float(period_rates[j][p]) for j in range(eta, k + 1)]
             dL = [accruals[j] * states[j - eta] for j in range(eta, k + 1)]
             if any(abs(v) < 1e-6 or 1.0 + v <= 0.0 for v in dL):
@@ -717,9 +726,7 @@ def run_embedding_check(coeffs: CoefficientSpec, triplet: LevyTriplet,
     parts = _run_chunks(engine, n_paths, seed, report_nodes, make_collector,
                         threads)
     s1, s2, sd = _tree_sum(parts)
-    mean = s1 / n_paths
-    var = np.maximum(s2 - n_paths * mean ** 2, 0.0) / (n_paths - 1)
-    se = np.sqrt(var / n_paths)
+    mean, se = _mean_se(s1, s2, n_paths)
 
     rows = []
     for c, k, i in rows_order:
@@ -777,10 +784,8 @@ def mc_european(coeffs: CoefficientSpec, triplet: LevyTriplet,
 
     parts = _run_chunks(engine, n_paths, seed, [last], make_collector,
                         threads)
-    s1, s2 = _tree_sum(parts)
-    mean = s1 / n_paths
-    var = max(s2 - n_paths * mean ** 2, 0.0) / (n_paths - 1)
-    return float(mean), float(math.sqrt(var / n_paths))
+    mean, se = _mean_se(*_tree_sum(parts), n_paths)
+    return float(mean), float(se)
 
 
 @dataclass(frozen=True)
@@ -879,9 +884,7 @@ def mc_stcdo_legs(loss_spec: LossCompensatorSpec, surface0: ForwardSurface,
     if T0 < -1e-12:
         raise ConfigError(f"effective date {T0} precedes the valuation time 0")
 
-    pay = np.zeros(2)
-    dflt = np.zeros(2)
-    val = np.zeros(2)
+    parts = []
     for ci, lo, hi in chunk_ranges(n_paths):
         gen = chunk_generator(seed, STREAM_LOSS, ci)
         flat_t, flat_y, counts = simulate_loss_paths_bulk(
@@ -889,18 +892,11 @@ def mc_stcdo_legs(loss_spec: LossCompensatorSpec, surface0: ForwardSurface,
         pay_c, dflt_c = _tranche_leg_values(flat_t, flat_y, counts, tranche,
                                             T0, surface0)
         val_c = spread * pay_c - dflt_c
-        pay += (np.sum(pay_c), np.sum(pay_c ** 2))
-        dflt += (np.sum(dflt_c), np.sum(dflt_c ** 2))
-        val += (np.sum(val_c), np.sum(val_c ** 2))
-
-    def stats(acc):
-        mean = acc[0] / n_paths
-        var = max(acc[1] - n_paths * mean ** 2, 0.0) / (n_paths - 1)
-        return float(mean), float(math.sqrt(var / n_paths))
-
-    pm, pse = stats(pay)
-    dm, dse = stats(dflt)
-    vm, vse = stats(val)
+        parts.append(np.array([(np.sum(v), np.sum(v ** 2))
+                               for v in (pay_c, dflt_c, val_c)]))
+    # rows of the sums: payment leg, default leg, value
+    (pm, pse), (dm, dse), (vm, vse) = [
+        map(float, _mean_se(s1, s2, n_paths)) for s1, s2 in _tree_sum(parts)]
     manifest = {"seed": seed, "n_paths": int(n_paths),
                 "chunk_size": CHUNK_SIZE, "spread": float(spread),
                 "tranche": [tranche.x1, tranche.x2]}

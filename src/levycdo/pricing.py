@@ -38,7 +38,8 @@ from .errors import (
 )
 # bond_price is not called here; the name stays because perfbench/tracing.py
 # wraps pricing.bond_price.
-from .hjm import ForwardSurface, _check_valuation, bond_price  # noqa: F401
+from .hjm import (  # noqa: F401
+    ForwardSurface, _check_valuation, bond_price, mix_columns)
 
 __all__ = [
     "TranchePayoff",
@@ -169,8 +170,7 @@ def _piecewise_quad(fn: Callable, a: float, b: float, interior: Sequence,
 
 def _mix(surface: ForwardSurface, table: np.ndarray, y: float) -> np.ndarray:
     """A per-column table (columns on the last axis) at barrier query y."""
-    idx, wts = surface.barrier_weights(y)
-    return sum(w * table[..., j] for j, w in zip(idx, wts))
+    return mix_columns(surface.barrier_weights(y), lambda j: table[..., j])
 
 
 def price_european(surface: ForwardSurface, ell: float, t: float, T: float,

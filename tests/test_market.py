@@ -31,6 +31,7 @@ from levycdo.loss import LossCompensatorSpec, LossPath, intensity_lambda
 from levycdo.market import (
     MarketCoefficientSpec,
     TenorStructure,
+    _rate_drift_matrix,
     alpha_forward_bond,
     alpha_rate_model,
     discrete_rate_from_surface,
@@ -366,6 +367,82 @@ def test_alpha_rate_model_loss_terms():
     got = alpha_rate_model(mspec, loss, 0.1, 0, 1, 0.0, [0.03])
     pref = (1.0 + 0.5 * 0.03) / (0.5 * 0.03)
     assert got == pytest.approx(pref * 0.5, rel=1e-14)
+
+
+def _drift_test_spec():
+    """Two-factor loadings per (period, barrier) and a contagion increment
+    that depends on every argument."""
+    tenor = quarterly_tenor()
+    rng = np.random.default_rng(17)
+    table = rng.normal(size=(4, 3, 2)) * 0.2
+    trip = LevyTriplet(m=np.zeros(2),
+                       sigma=np.array([[1.0, -0.2], [-0.2, 0.5]]))
+    mspec = MarketCoefficientSpec(
+        tenor=tenor, dimension=2,
+        beta=lambda t, k, i: table[k, i] * (1.0 + 0.1 * t),
+        gamma=lambda t, ell, y, k, i: 0.04 * (k + 1) * y * (1.0 + ell)
+        * (1.0 + i) * (1.0 - 0.2 * t),
+        triplet=trip,
+    )
+    loss = LossCompensatorSpec.constant(0.9, [(0.1, 0.5), (0.15, 0.3),
+                                              (0.25, 0.2)])
+    return mspec, loss
+
+
+def test_simulator_drift_matches_alpha_rate_model():
+    """Each row of the simulator's vectorized drift equals the public
+    rate-form drift of that path, per alive path and evolving period, at
+    every barrier, with and without a current period that still evolves;
+    paths past a barrier are not alive there."""
+    mspec, loss = _drift_test_spec()
+    tenor = mspec.tenor
+    K = tenor.n_periods
+    ell = np.array([0.0, 0.1, 0.25, 0.35, 0.0, 0.1, 0.25, 0.35])
+    rng = np.random.default_rng(3)
+    compared = 0
+    for t in (0.2, 0.7, 1.6):
+        eta = tenor.eta(t)
+        evolve_from = eta if tenor.maturities[eta] > t else eta + 1
+        for i, x in enumerate(tenor.barriers):
+            L = rng.uniform(0.01, 0.08, size=(len(ell), K))
+            betas = np.stack([mspec.eval_beta(t, j, i) for j in range(eta, K)])
+            degenerate = np.zeros(len(ell), dtype=bool)
+            got = _rate_drift_matrix(mspec, loss, t, i, eta, betas, L, ell,
+                                     evolve_from, degenerate)
+            assert not degenerate.any()
+            for p, lv in enumerate(ell):
+                for k in range(evolve_from, K):
+                    if lv > x:
+                        with pytest.raises(StateError):
+                            alpha_rate_model(mspec, loss, t, k, i, lv,
+                                             L[p, eta:k + 1])
+                        continue
+                    want = alpha_rate_model(mspec, loss, t, k, i, lv,
+                                            L[p, eta:k + 1])
+                    assert got[p, k - evolve_from] == pytest.approx(
+                        want, rel=1e-12, abs=0.0)
+                    compared += 1
+    assert compared > 100
+
+
+def test_simulator_drift_marks_a_zero_rate_degenerate():
+    """A live zero rate under a loss measure freezes its path where the
+    public drift raises DegenerateRateError for the same state."""
+    mspec, loss = _drift_test_spec()
+    tenor = mspec.tenor
+    t, i, eta = 0.2, 2, 0
+    L = np.full((3, tenor.n_periods), 0.03)
+    L[1, 2] = 0.0
+    ell = np.zeros(3)
+    betas = np.stack([mspec.eval_beta(t, j, i)
+                      for j in range(eta, tenor.n_periods)])
+    degenerate = np.zeros(3, dtype=bool)
+    got = _rate_drift_matrix(mspec, loss, t, i, eta, betas, L, ell, eta,
+                             degenerate)
+    assert degenerate.tolist() == [False, True, False]
+    assert np.all(got[1] == 0.0) and np.all(got[[0, 2]] != 0.0)
+    with pytest.raises(DegenerateRateError):
+        alpha_rate_model(mspec, loss, t, 2, i, 0.0, L[1, :3])
 
 
 def test_alpha_rate_model_rejects_bad_states():

@@ -202,3 +202,19 @@ def test_readers_flag_non_finite_sum_of_finite_terms(ladder_coeffs, gauss2):
 
     engine.run_chunk(2 * BLOCK, 1, 0, [overflow], [2])
     assert seen == [0.5]
+
+
+def test_snapshot_of_a_path_outside_the_chunk_raises_index_error(
+        event_engine):
+    seen = []
+
+    def collect(pos, state):
+        for path in (8, -1):
+            with pytest.raises(IndexError,
+                               match=f"path {path} outside the chunk of 8"):
+                event_engine.surface_snapshot(state, path)
+        event_engine.surface_snapshot(state, 7)
+        seen.append(state.t)
+
+    event_engine.run_chunk(8, SEED, 0, [collect], [1])
+    assert seen == [event_engine.grid[1]]
