@@ -55,11 +55,13 @@ up to quadrature tolerance.
 
 Requirements on the coefficients: b must be loss-independent, flat in the
 barrier (``b_x_flat``) and carry its separable x = 1 decomposition, whose
-``phi`` and ``psi_integral`` accept arrays of times; with ``b_vectorized``
-the contagion c and its integral must broadcast a column of event times
-against the maturities (the named families provide all of this); a
-callable drift must be loss-independent on the x = 1 slice.
-Barrier-dependent volatility is rejected with ConfigError.
+``phi``, ``psi`` and ``psi_integral`` accept arrays of times; b must accept
+a scalar maturity; a callable drift must be loss-independent on the x = 1
+slice. With a loss process the engine also requires ``b_vectorized``, so
+that the contagion c broadcasts a column of event times against the
+maturities, and under the no-arbitrage drift the exact contagion integral
+``c_integral``, broadcasting the same way. The named families provide all
+of this; a spec that lacks any of it is rejected with ConfigError.
 """
 
 from __future__ import annotations
@@ -73,7 +75,7 @@ import numpy as np
 from scipy.integrate import quad
 
 from .errors import BoundError, ConfigError, GridError, StepError
-from .hjm import CoefficientSpec, ForwardSurface, c_star, mix_columns
+from .hjm import CoefficientSpec, ForwardSurface, mix_columns
 from .levy import (
     LevyPathRecord,
     LevyTriplet,
@@ -111,6 +113,14 @@ def _row_blocks(n: int) -> list:
     if len(edges) > 2 and edges[-1] - edges[-2] == 1:
         del edges[-2]
     return list(zip(edges[:-1], edges[1:]))
+
+
+def _stack(parts: list, empty_shape: tuple, axis: int) -> np.ndarray:
+    """Float arrays stacked along ``axis``; an array of ``empty_shape``
+    when there are none (a spec with no volatility components)."""
+    if not parts:
+        return np.empty(empty_shape)
+    return np.stack([np.asarray(p, dtype=float) for p in parts], axis=axis)
 
 
 def _gl_primitives() -> np.ndarray:
@@ -249,6 +259,19 @@ class SurfaceEngine:
                 "the engine requires barrier-flat volatility (b_x_flat); "
                 "named families provide it"
             )
+        if loss_spec is not None and not coeffs.b_vectorized:
+            raise ConfigError(
+                "with a loss process the engine requires contagion that "
+                "broadcasts over event times (b_vectorized); named families "
+                "provide it"
+            )
+        if (loss_spec is not None and coeffs.drift == "no_arbitrage"
+                and coeffs.c_integral is None):
+            raise ConfigError(
+                "the no-arbitrage drift with a loss process requires the "
+                "exact contagion integral (c_integral); named families "
+                "provide it"
+            )
         grid = _read_only(master_grid)
         if grid.ndim != 1 or len(grid) < 2 or np.any(np.diff(grid) <= 0):
             raise GridError("master grid must be strictly increasing with >= 2 nodes")
@@ -301,14 +324,8 @@ class SurfaceEngine:
             t = t_lo + frac_t * (self.horizon - t_lo)
             T = T_lo + frac_T * (T_hi - T_lo)
             via_comps = self._b_rows_one(t, T)
-            if self.coeffs.b_vectorized:
-                direct = np.asarray(
-                    self.coeffs.b(t, np.array([T]), 1.0, 0.0), dtype=float
-                ).reshape(-1)
-            else:
-                direct = np.asarray(
-                    self.coeffs.b(t, T, 1.0, 0.0), dtype=float
-                ).reshape(-1)
+            direct = np.asarray(self.coeffs.b(t, T, 1.0, 0.0),
+                                dtype=float).reshape(-1)
             if np.max(np.abs(via_comps - direct)) > 1e-10 * (
                 1.0 + float(np.max(np.abs(direct)))
             ):
@@ -322,9 +339,8 @@ class SurfaceEngine:
     def _b_rows(self, t: float) -> np.ndarray:
         """b(t, T_grid) as (nT, d), shared by every barrier slice."""
         out = np.zeros((self.nT, self.d))
-        for comp in self._comps:
-            out += np.asarray(comp.psi(self.maturities), dtype=float)[:, None] \
-                * np.asarray(comp.phi(t), dtype=float)
+        for comp, psi in zip(self._comps, self._psi_T):
+            out += psi[:, None] * np.asarray(comp.phi(t), dtype=float)
         return out
 
     def _b_star_rows(self, t: float) -> np.ndarray:
@@ -375,13 +391,8 @@ class SurfaceEngine:
         if x >= 1.0 or ts.min() >= self.maturities[-1]:
             return out
         g0, Ts, live = self._live_block(ts)
-        if self.coeffs.b_vectorized:
-            vals = self.coeffs.c(ts[:, None], Ts, x, y, ell)
-            out[:, g0:] = np.where(live, vals, 0.0)
-        else:
-            for e, g in zip(*np.nonzero(live)):
-                out[e, g0 + g] = float(np.asarray(
-                    self.coeffs.c(float(ts[e]), float(Ts[e, g]), x, y, ell)))
+        vals = self.coeffs.c(ts[:, None], Ts, x, y, ell)
+        out[:, g0:] = np.where(live, vals, 0.0)
         over = np.max(np.abs(out), axis=1) > self.coeffs.c_bound
         if over.any():
             raise BoundError(
@@ -397,14 +408,9 @@ class SurfaceEngine:
         if x >= 1.0 or ts.min() >= self.maturities[-1]:
             return out
         g0, Ts, live = self._live_block(ts)
-        ci = self.coeffs.c_integral
-        if ci is not None and self.coeffs.b_vectorized:
-            col = ts[:, None]
-            out[:, g0:] = np.where(live, ci(col, col, Ts, x, y, ell), 0.0)
-        else:
-            for e, g in zip(*np.nonzero(live)):
-                out[e, g0 + g] = c_star(self.coeffs, float(ts[e]),
-                                        float(Ts[e, g]), x, y, ell)
+        col = ts[:, None]
+        out[:, g0:] = np.where(
+            live, self.coeffs.c_integral(col, col, Ts, x, y, ell), 0.0)
         return out
 
     # ----- deterministic drift tables ------------------------------------
@@ -519,7 +525,7 @@ class SurfaceEngine:
         self._gl_times = 0.5 * (t0 + t1) + half * _GL_NODES   # (steps, 4)
         self._gl_weights = half * _GL_WEIGHTS
         base_drift = np.empty((steps, self.nT, self.nx))
-        self._phi_left = np.empty((steps, self._ncomp, self.d))
+        self._phi_left = self._phi_at(self.grid[:-1])
         for s_idx in range(steps):
             acc = np.zeros((self.nT, self.nx))
             for s, w in zip(self._gl_times[s_idx], self._gl_weights[s_idx]):
@@ -530,8 +536,6 @@ class SurfaceEngine:
                     f"volatility exceeded its declared bound {self.coeffs.b_bound} "
                     f"at t={self.grid[s_idx]}"
                 )
-            for ci, comp in enumerate(self._comps):
-                self._phi_left[s_idx, ci] = np.asarray(comp.phi(self.grid[s_idx]))
         self.base_cum = np.concatenate(
             [np.zeros((1, self.nT, self.nx)), np.cumsum(base_drift, axis=0)]
         )
@@ -539,31 +543,22 @@ class SurfaceEngine:
     # ----- short rate and discounting -------------------------------------
 
     def _prepare_short_rate_pieces(self):
-        nodes = len(self.grid)
-        steps = nodes - 1
-        self._psi_at_node = np.empty((nodes, self._ncomp))
-        for ni, t in enumerate(self.grid):
-            for ci, comp in enumerate(self._comps):
-                self._psi_at_node[ni, ci] = float(
-                    np.asarray(comp.psi(np.asarray(t, dtype=float)))
-                )
-        self._psi_int_step = np.empty((steps, self._ncomp))
-        for s_idx in range(steps):
-            for ci, comp in enumerate(self._comps):
-                self._psi_int_step[s_idx, ci] = float(
-                    comp.psi_integral(self.grid[s_idx], self.grid[s_idx + 1])
-                )
-        self._psi_T = np.empty((self._ncomp, self.nT))
-        for ci, comp in enumerate(self._comps):
-            for g, T in enumerate(self.maturities):
-                self._psi_T[ci, g] = float(
-                    np.asarray(comp.psi(np.asarray(T, dtype=float)))
-                )
+        """Component tables, one array call per component: psi at the
+        nodes (nodes, ncomp), its integral over each step (steps, ncomp)
+        and psi at the maturities (ncomp, nT)."""
+        grid = self.grid
+        self._psi_at_node = _stack([c.psi(grid) for c in self._comps],
+                                   (len(grid), 0), axis=1)
+        self._psi_int_step = _stack(
+            [c.psi_integral(grid[:-1], grid[1:]) for c in self._comps],
+            (len(grid) - 1, 0), axis=1)
+        self._psi_T = _stack([c.psi(self.maturities) for c in self._comps],
+                             (0, self.nT), axis=0)
 
     def _phi_at(self, ts: np.ndarray) -> np.ndarray:
         """phi of every component at the times ts: (E, ncomp, d)."""
-        return np.stack([np.asarray(comp.phi(ts), dtype=float)
-                         for comp in self._comps], axis=1)
+        return _stack([comp.phi(ts) for comp in self._comps],
+                      (len(ts), 0, self.d), axis=1)
 
     def _drift_star_rf(self, u: float, tau: float) -> float:
         """int_u^tau [a(u, s, 1) + <b(u, s, 1), m_c>] ds, closed in maturity.

@@ -98,8 +98,10 @@ class CoefficientSpec:
     the engine evaluates a batch of loss events in one call; ``b_x_flat``
     promises that b does not depend on the barrier at all, so the x = 1
     decomposition describes every slice. ``SurfaceEngine`` requires
-    ``b_components`` and ``b_x_flat`` (and loss-independent b); the
-    pointwise drifts and bond functions here accept any b.
+    ``b_components`` and ``b_x_flat`` (and loss-independent b); with a loss
+    process it also requires ``b_vectorized``, and under the no-arbitrage
+    drift ``c_integral`` too. The pointwise drifts and bond functions here
+    accept any b.
     """
 
     dimension: int

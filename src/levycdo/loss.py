@@ -3,17 +3,19 @@
 The loss L is a pure-jump non-decreasing process on [0, 1]. Its compensator
 is specified through a base jump rate (a function of time and the current
 loss level) and a discrete mark distribution on (0, 1]. A structural support
-rule keeps L inside [0, 1]: at loss level l, mark atoms above 1 - l are
-removed from the jump measure. Removal thins the measure (the total jump
-intensity drops); the remaining atoms keep their relative weights for mark
-draws. This is what makes the intensity of crossing level 1 vanish and the
-cap at 1 absorbing, rather than an ad-hoc clip.
+rule keeps L inside [0, 1]: at loss level l, the mark atoms y with
+l + y > 1 are removed from the jump measure. Removal thins the measure (the
+total jump intensity drops); the remaining atoms keep their relative
+weights for mark draws. This is what makes the intensity of crossing level
+1 vanish and the cap at 1 absorbing, rather than an ad-hoc clip.
 
 The level-x crossing intensity is
 
-    lambda(t, x; l) = base_rate(t, l) * sum of p_j over {x - l < y_j <= 1 - l},
+    lambda(t, x; l) = base_rate(t, l) * sum of p_j over {x < l + y_j <= 1},
 
 so lambda(t, 1; l) = 0 identically (the two conditions exclude each other).
+Both tests take the sum l + y, as the simulated levels and every drift do,
+so a jump that lands exactly on a barrier keeps its path alive there.
 """
 
 from __future__ import annotations
@@ -102,15 +104,11 @@ class LossCompensatorSpec:
             time_dependent=time_dependent,
         )
 
-    def mark_atoms(self, t: float, ell: float) -> tuple:
-        """Mark atoms before the support rule."""
-        return self.marks
-
     def effective_atoms(self, t: float, ell: float):
         """(sizes, intensities) after the support rule at loss level ell.
 
-        Intensities are base_rate * p for the surviving atoms; atom sizes
-        above 1 - ell carry zero intensity and are dropped. Warns (once per
+        Intensities are base_rate * p for the surviving atoms; atoms with
+        ell + y > 1 carry zero intensity and are dropped. Warns (once per
         spec object) the first time truncation actually removes mass.
         """
         ys, ps = self._supported_atoms(t, ell)
@@ -119,10 +117,9 @@ class LossCompensatorSpec:
     def _supported_atoms(self, t: float, ell: float):
         """(sizes, probabilities) of the mark atoms the support rule keeps
         at loss level ell, with the once-per-spec warning."""
-        atoms = self.mark_atoms(t, ell)
-        ys = np.array([a[0] for a in atoms])
-        ps = np.array([a[1] for a in atoms])
-        keep = ys <= 1.0 - ell
+        ys = np.array([a[0] for a in self.marks])
+        ps = np.array([a[1] for a in self.marks])
+        keep = ell + ys <= 1.0
         if not keep.all() and not self._warned:
             self._warned.append(True)
             warnings.warn(
@@ -138,10 +135,6 @@ class LossCompensatorSpec:
         if rate < 0:
             raise ConfigError(f"base rate is negative at (t={t}, l={ell})")
         return rate
-
-    def total_intensity(self, t: float, ell: float) -> float:
-        _, w = self.effective_atoms(t, ell)
-        return float(w.sum())
 
 
 def _check_marks(marks) -> tuple:
@@ -170,7 +163,7 @@ def intensity_lambda(t: float, x: float, ell: float,
     if not 0.0 <= ell <= x:
         raise DomainError(f"loss level {ell} outside [0, barrier {x}]")
     ys, ws = spec.effective_atoms(t, ell)
-    return float(ws[ys > x - ell].sum())
+    return float(ws[ell + ys > x].sum())
 
 
 @dataclass

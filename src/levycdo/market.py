@@ -316,6 +316,28 @@ def _lambda_at(loss_spec: Optional[LossCompensatorSpec], t: float, x: float,
     return intensity_lambda(t, x, ell, loss_spec)
 
 
+def _loss_sums(mspec: MarketCoefficientSpec,
+               loss_spec: Optional[LossCompensatorSpec], t: float, i: int,
+               eta: int, last: int, ell: float) -> Optional[np.ndarray]:
+    """sum_y w_y (e^{g_j} + (e^{-g_j} - 1) e^{-G_j}) 1{ell+y<=x_i} for the
+    periods j = eta..last, g_j = gamma(t, ell, y, j, i) and G_j the sum of
+    g over eta..j-1; None without a loss measure or a surviving mark."""
+    if loss_spec is None:
+        return None
+    x = float(mspec.tenor.barriers[i])
+    ys, ws = loss_spec.effective_atoms(t, ell)
+    keep = ell + ys <= x
+    if not keep.any():
+        return None
+    out = np.zeros(last - eta + 1)
+    for y, w in zip(ys[keep], ws[keep]):
+        gs = np.array([mspec.eval_gamma(t, ell, float(y), j, i)
+                       for j in range(eta, last + 1)])
+        tails = np.exp(-np.concatenate([[0.0], np.cumsum(gs[:-1])]))
+        out += w * (np.exp(gs) + (np.exp(-gs) - 1.0) * tails)
+    return out
+
+
 def alpha_forward_bond(mspec: MarketCoefficientSpec,
                        loss_spec: Optional[LossCompensatorSpec], t: float,
                        k: int, i: int, ell: float) -> float:
@@ -343,15 +365,9 @@ def alpha_forward_bond(mspec: MarketCoefficientSpec,
     prev = np.sum(betas[:-1], axis=0) if len(betas) > 1 else np.zeros_like(bk)
     out += (_nu_mean(-bk, mspec.triplet) + _nu_mean(prev + bk, mspec.triplet)
             - _nu_mean(prev, mspec.triplet))
-    if loss_spec is not None:
-        ys, ws = loss_spec.effective_atoms(t, ell)
-        for y, w in zip(ys, ws):
-            if ell + y <= x:
-                gs = [mspec.eval_gamma(t, ell, float(y), j, i)
-                      for j in range(eta, k + 1)]
-                gk = gs[-1]
-                tail = math.exp(-sum(gs[:-1]))
-                out += w * (math.exp(gk) + (math.exp(-gk) - 1.0) * tail)
+    sums = _loss_sums(mspec, loss_spec, t, i, eta, k, ell)
+    if sums is not None:
+        out += sums[-1]
     return out
 
 
@@ -399,18 +415,9 @@ def alpha_rate_model(mspec: MarketCoefficientSpec,
     sig_bk = mspec.triplet.sigma @ betas[-1]
     out = -_lambda_at(loss_spec, t, x, ell)
     out += float(sum(w * (b @ sig_bk) for w, b in zip(weights, betas)))
-    if loss_spec is not None:
-        prefactor = (1.0 + dL[-1]) / dL[-1]
-        ys, ws = loss_spec.effective_atoms(t, ell)
-        acc = 0.0
-        for y, w in zip(ys, ws):
-            if ell + y <= x:
-                gs = [mspec.eval_gamma(t, ell, float(y), j, i)
-                      for j in range(eta, k + 1)]
-                gk = gs[-1]
-                tail = math.exp(-sum(gs[:-1]))
-                acc += w * (math.exp(gk) + (math.exp(-gk) - 1.0) * tail)
-        out += prefactor * acc
+    sums = _loss_sums(mspec, loss_spec, t, i, eta, k, ell)
+    if sums is not None:
+        out += (1.0 + dL[-1]) / dL[-1] * sums[-1]
     return out
 
 
@@ -468,27 +475,17 @@ def _rate_drift_matrix(mspec: MarketCoefficientSpec,
 
     lam = np.zeros(n)
     if loss_spec is not None:
+        # lambda and the loss sum with its path-dependent prefactor, per
+        # distinct loss level
         for lv in np.unique(ell):
+            if lv > x:
+                continue
             sel = ell == lv
-            if lv > x:
-                continue
             lam[sel] = intensity_lambda(t, x, float(lv), loss_spec)
-        # loss sum with its path-dependent prefactor, per distinct loss level
-        for lv in np.unique(ell):
-            if lv > x:
+            sums = _loss_sums(mspec, loss_spec, t, i, eta, K - 1, float(lv))
+            if sums is None:
                 continue
-            ys, ws = loss_spec.effective_atoms(t, float(lv))
-            keep = lv + ys <= x
-            if not keep.any():
-                continue
-            terms = np.zeros(K - evolve_from)
-            for y, w in zip(ys[keep], ws[keep]):
-                gs = np.array([mspec.eval_gamma(t, float(lv), float(y), j, i)
-                               for j in range(eta, K)])
-                tails = np.exp(-np.concatenate([[0.0], np.cumsum(gs[:-1])]))
-                vals = np.exp(gs) + (np.exp(-gs) - 1.0) * tails
-                terms += w * vals[evolve_from - eta:]
-            sel = (ell == lv) & ~degenerate
+            sel &= ~degenerate
             dLk = dL[sel, evolve_from - eta:]
             zero = dLk == 0.0
             if zero.any():
@@ -496,7 +493,7 @@ def _rate_drift_matrix(mspec: MarketCoefficientSpec,
                 degenerate[rows] = True
                 sel = sel & ~degenerate
                 dLk = dL[sel, evolve_from - eta:]
-            out[sel] += (1.0 + dLk) / dLk * terms[None, :]
+            out[sel] += (1.0 + dLk) / dLk * sums[None, evolve_from - eta:]
     out = out - lam[:, None]
     out[degenerate] = 0.0
     return out

@@ -1,6 +1,8 @@
 """Forward-surface machinery: drift conditions, the hazard ladder, the
 coefficient families, surfaces/bonds, and the evolution engine."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -681,8 +683,6 @@ def test_callable_drift_with_loss_level_is_reintegrated(gauss2, ladder_loss,
     crosses x = 0.3): on every alive slice f(t,T,x) - f(0,T,x) equals the
     quadrature of a(s, T, x, L_s) plus the contagion jumps.
     """
-    import dataclasses
-
     def drift(t, T, x, ell):
         # loss-free on the x = 1 slice, as the engine requires
         return (0.002 * np.cos(t) * np.exp(-0.2 * T)
@@ -779,6 +779,75 @@ def test_engine_configuration_errors(gauss2, ladder_surface):
     )
     with pytest.raises(ConfigError, match="barrier-flat"):
         SurfaceEngine(barrier_dependent, gauss2, None, ladder_surface, grid)
+
+
+def test_engine_with_loss_requires_vectorized_contagion(
+        ladder_coeffs, gauss2, ladder_loss, ladder_surface):
+    """With a loss process the engine evaluates contagion rows in one array
+    call per event group: a spec without ``b_vectorized`` is rejected."""
+    scalar = dataclasses.replace(ladder_coeffs, b_vectorized=False)
+    with pytest.raises(ConfigError, match="b_vectorized"):
+        SurfaceEngine(scalar, gauss2, ladder_loss, ladder_surface,
+                      build_master_grid(1.0, 0.25))
+
+
+def test_no_arbitrage_engine_with_loss_requires_contagion_integral(
+        ladder_coeffs, gauss2, ladder_loss, ladder_surface):
+    """The no-arbitrage drift tables need c* as one array call: a loss
+    process without ``c_integral`` is rejected under that drift."""
+    no_integral = dataclasses.replace(ladder_coeffs, c_integral=None)
+    with pytest.raises(ConfigError, match="c_integral"):
+        SurfaceEngine(no_integral, gauss2, ladder_loss, ladder_surface,
+                      build_master_grid(1.0, 0.25))
+
+
+def _former_component_tables(engine):
+    """psi at the nodes, its step integrals, psi at the maturities and phi
+    at the left step ends, built one element at a time as the engine once
+    built them."""
+    grid, comps = engine.grid, engine._comps
+    at_node = np.empty((len(grid), len(comps)))
+    int_step = np.empty((len(grid) - 1, len(comps)))
+    at_T = np.empty((len(comps), engine.nT))
+    phi_left = np.empty((len(grid) - 1, len(comps), engine.d))
+    for ci, comp in enumerate(comps):
+        for ni, t in enumerate(grid):
+            at_node[ni, ci] = float(np.asarray(comp.psi(np.asarray(t))))
+        for s_idx in range(len(grid) - 1):
+            int_step[s_idx, ci] = float(
+                comp.psi_integral(grid[s_idx], grid[s_idx + 1]))
+            phi_left[s_idx, ci] = np.asarray(comp.phi(grid[s_idx]))
+        for g, T in enumerate(engine.maturities):
+            at_T[ci, g] = float(np.asarray(comp.psi(np.asarray(T))))
+    return at_node, int_step, at_T, phi_left
+
+
+@pytest.mark.parametrize("components", [
+    (constant_component([0.02, 0.01]),),
+    (exp_decay_component([0.015, -0.01], 0.8),),
+    (step_component([0.01, 0.02], [0.0, 0.7, 1.9, 2.6], [1.0, 0.4, 1.7]),),
+    (constant_component([0.01, 0.0]), exp_decay_component([0.0, 0.02], 1.3),
+     step_component([0.01, 0.01], [0.2, 1.1, 2.9], [0.6, 1.4])),
+    (),
+], ids=["constant", "exp_decay", "step", "mixed", "none"])
+def test_component_tables_equal_elementwise_construction(
+        components, gauss2, ladder_surface):
+    """The engine's component tables, one array call per component, equal
+    the element-by-element tables bit for bit; with no components they are
+    empty in the component axis."""
+    coeffs = build_coefficients(components, no_contagion(), "no_arbitrage",
+                                2)
+    grid = build_master_grid(2.0, 0.15, include=(0.33, 1.25))
+    eng = SurfaceEngine(coeffs, gauss2, None, ladder_surface, grid)
+    at_node, int_step, at_T, phi_left = _former_component_tables(eng)
+    assert np.array_equal(eng._psi_at_node, at_node)
+    assert np.array_equal(eng._psi_int_step, int_step)
+    assert np.array_equal(eng._psi_T, at_T)
+    assert np.array_equal(eng._phi_left, phi_left)
+    n = len(components)
+    assert eng._psi_at_node.shape == (len(grid), n)
+    assert eng._phi_left.shape == (len(grid) - 1, n, 2)
+    assert eng._phi_at(np.array([0.1, 0.2, 0.3])).shape == (3, n, 2)
 
 
 def test_engine_grid_errors(ladder_coeffs, gauss2, ladder_surface):

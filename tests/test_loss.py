@@ -20,7 +20,7 @@ from levycdo.rng import STREAM_LOSS, chunk_generator
 
 
 def test_intensity_counts_crossing_marks():
-    """lambda(t, x; l) = rate * P(mark in (x - l, 1 - l]), by hand.
+    """lambda(t, x; l) = rate * P(x < l + mark <= 1), by hand.
 
     With a single mark 0.5 and rate 2: the 0.3-barrier is crossed by the
     next jump (intensity 2), the 0.6-barrier is not (intensity 0). A strict
@@ -47,6 +47,48 @@ def test_intensity_shifts_with_loss_level():
     # l = 0.2: crossing needs mark > x - 0.2, support needs mark <= 0.8
     assert intensity_lambda(0.0, 0.6, 0.2, spec) == pytest.approx(2.0)
     assert intensity_lambda(0.0, 0.8, 0.2, spec) == pytest.approx(0.0)
+
+
+def test_jump_landing_on_a_barrier_keeps_the_path_alive():
+    """Both tests sum the level and the mark, as the simulated levels do:
+    a jump that lands exactly on a barrier, or on 1, neither crosses it nor
+    leaves the support, though 1 - l or x - l rounds below the mark."""
+    pair = LossCompensatorSpec.constant(2.0, [(0.2, 0.5), (0.6, 0.5)])
+    ell = 0.2 + 0.6
+    assert ell + 0.2 == 1.0 and 1.0 - ell < 0.2
+    ys, ws = pair.effective_atoms(0.0, ell)
+    np.testing.assert_array_equal(ys, [0.2])
+    np.testing.assert_array_equal(ws, [1.0])
+    small = LossCompensatorSpec.constant(2.0, [(0.01, 0.5), (0.02, 0.5)])
+    assert 0.01 + 0.02 == 0.03 and 0.03 - 0.01 < 0.02
+    assert intensity_lambda(0.0, 0.03, 0.01, small) == 0.0
+
+
+@pytest.mark.filterwarnings("ignore:mark atoms above")
+def test_crossing_and_support_agree_with_summed_levels():
+    """On a 1% grid of marks and levels, a mark counts toward
+    lambda(t, x; l) exactly when the level ``LossPath.loss_at`` reaches
+    after the jump lies above x, and the support rule keeps it exactly when
+    that level is at most 1; x is the grid barrier nearest that level, and
+    the one just above l."""
+    grid = [k / 100 for k in range(1, 31)]
+    paths = [[a] for a in grid] + [[a, b] for a in grid for b in grid
+                                   if a <= b] + [[0.3, 0.3, 0.3]]
+    specs = {y: LossCompensatorSpec.constant(1.0, [(y, 1.0)]) for y in grid}
+    for sizes in paths:
+        times = np.arange(1, len(sizes) + 2) / 10
+        ell = LossPath(times[:-1], sizes, 1.0).loss_at(1.0)
+        for y, spec in specs.items():
+            kept = len(spec.effective_atoms(0.0, ell)[0]) == 1
+            if np.sum(sizes + [y]) > 1.0 + 1e-12:   # no valid LossPath
+                assert not kept
+                continue
+            after = LossPath(times, sizes + [y], 1.0).loss_at(1.0)
+            assert kept == (after <= 1.0)
+            for x in (round(100 * after) / 100, round(100 * ell + 1) / 100):
+                if ell <= x <= 1.0:
+                    crossing = intensity_lambda(0.0, x, ell, spec) > 0.0
+                    assert crossing == (kept and after > x), (sizes, y, x)
 
 
 def test_intensity_domain_checks():
@@ -305,6 +347,23 @@ def test_compensated_indicator_is_martingale():
     ])
     se = vals.std(ddof=1) / np.sqrt(len(vals))
     assert abs(vals.mean() - 1.0) <= 3 * se
+
+
+def test_compensated_indicator_is_martingale_on_barrier_landings():
+    """E[M^x_1] = 1 (4 s.e.) when jumps land exactly on the barrier: marks
+    0.01 and 0.02 reach x = 0.03 by sums that equal it in floating point."""
+    spec = LossCompensatorSpec.constant(2.0, [(0.01, 0.5), (0.02, 0.5)])
+    n = 5000
+    times, sizes, counts = simulate_loss_paths_bulk(
+        spec, 1.0, chunk_generator(5, STREAM_LOSS, 0), n)
+    starts = np.cumsum(counts) - counts
+    vals = np.array([
+        mx_compensated(LossPath(times[s:s + c], sizes[s:s + c], 1.0), 0.03,
+                       spec, [1.0])[0]
+        for s, c in zip(starts, counts)
+    ])
+    se = vals.std(ddof=1) / np.sqrt(n)
+    assert abs(vals.mean() - 1.0) <= 4 * se
 
 
 def test_compensated_indicator_freezes_after_crossing():

@@ -26,6 +26,8 @@ from levycdo.errors import ConfigError, DomainError
 from levycdo.loss import LossCompensatorSpec, simulate_loss_paths_bulk
 from levycdo.market import TenorStructure
 from levycdo.mc import (
+    EmbeddingReport,
+    MartingaleTestReport,
     _MIN_PATHS,
     _discounted_bond_values,
     _tranche_leg_values,
@@ -573,3 +575,37 @@ def test_embedding_check_detects_wrong_loadings(gauss_embedding_coeffs,
         gauss_embedding_coeffs,
         b_integral=lambda *a: 2.0 * np.asarray(b_integral(*a)))
     assert not _embedding_report(wrong, gauss2).passed()
+
+
+@pytest.mark.parametrize("worst", [1.25, -4.5])
+def test_martingale_summary_states_the_verdict(worst):
+    """The summary's first line states the same PASS/FAIL as ``passed``,
+    the max |z| and the path count."""
+    z = np.array([[0.0, 0.0], [0.5, worst], [-0.75, np.nan]])
+    report = MartingaleTestReport(
+        times=np.array([0.0, 0.5, 1.0]), targets=((0.75, 0.3), (2.0, 1.0)),
+        reference=np.array([0.9, 0.95]), means=np.full((3, 2), 0.9),
+        std_errors=np.full((3, 2), 0.01), z_scores=z, n_paths=4096,
+        manifest={})
+    head = report.summary().splitlines()[0]
+    assert report.passed == (abs(worst) <= 4.0)
+    assert ("PASS" if report.passed else "FAIL") in head
+    assert ("FAIL" if report.passed else "PASS") not in head
+    assert f"max |z| = {abs(worst):.3f}" in head
+    assert "4096 paths" in head
+
+
+@pytest.mark.parametrize("worst", [2.5, -3.25])
+def test_embedding_summary_states_the_verdict(worst):
+    """The summary's first line states the same PASS/FAIL as ``passed()``,
+    the max |z| and the path count."""
+    rows = ((0.5, 0, 0.3, 0.011, 0.010, 0.002, 0.5),
+            (0.5, 1, 1.0, 0.020, 0.021, 0.001, worst))
+    report = EmbeddingReport(rows=rows, window=0.25, n_paths=2048,
+                             alpha_identity_gap=0.0, manifest={})
+    head = report.summary().splitlines()[0]
+    assert report.passed() == (abs(worst) <= 3.0)
+    assert ("PASS" if report.passed() else "FAIL") in head
+    assert ("FAIL" if report.passed() else "PASS") not in head
+    assert f"max |z| = {abs(worst):.3f}" in head
+    assert "2048 paths" in head
