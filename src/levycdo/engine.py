@@ -36,12 +36,13 @@ owner of the diagonal f(t, t, x).
 
 Events are applied from tables built before stepping, not path by path.
 Driver jumps are bucketed by step and enter the accumulators and the
-discount integral with one ``np.add.at`` per step. Loss jumps are bucketed
-by step with their pre-jump levels (``loss.levels_before``); each step
-applies its loss jumps in groups of equal (pre-jump level, mark), with one
-batched evaluation of the contagion rows and of the drift conversion per
-group. Drift tables are built per loss level,
-over every step's quadrature nodes at once, and cached.
+discount integral with one ``np.add.at`` per step. Loss jumps touch
+neither, so they leave the step loop: at each report node the jumps since
+the previous one are applied in one pass, with their pre-jump levels
+(``loss.levels_before``), in groups of equal (pre-jump level, mark) and
+batches of ``_BLOCK_ROWS`` jumps, into adjustment rows kept only for the
+paths that jump. Drift tables are built per loss level, over every step's
+quadrature nodes at once, and cached.
 
 Building an engine costs a quadrature per node and the step tables, so
 callers that run one scenario again and again get it from ``_engine_for``,
@@ -182,12 +183,15 @@ class PathState:
     """Per-chunk state handed to collectors at report nodes.
 
     The forward surface of path p is ``tables[level_of[p]]`` plus
-    ``accumulators[p] @ psi(T)`` across the barriers plus ``adjust[p]``.
-    ``level_of`` is always an integer array, all zeros when the state
-    carries one table. The full (n, nT, nx) array ``values`` is
-    materialized only when a reader asks for it, and then kept;
-    ``maturity_integrals`` and ``surface_snapshot`` work from the state
-    itself.
+    ``accumulators[p] @ psi(T)`` across the barriers plus
+    ``adjust[adjust_of[p]]``. ``level_of`` is always an integer array, all
+    zeros when the state carries one table. ``adjust`` holds a row for
+    each path with a loss jump before the horizon and a last row of zeros
+    that the other paths share (``adjust_of`` gives each path its row);
+    both are None without a loss process. The full (n, nT, nx) array
+    ``values`` is materialized only when a reader asks for it, and then
+    kept; ``maturity_integrals`` and ``surface_snapshot`` work from the
+    state itself.
 
     The arrays are the engine's working buffers and change in place on the
     next step. ``values``, the engine's readers (``maturity_integrals``,
@@ -207,7 +211,8 @@ class PathState:
     short_rate: np.ndarray    # (n,) f(t, t, 1) per path
     offset: int               # global index of this chunk's first path
     accumulators: np.ndarray  # (n, ncomp) component accumulators I
-    adjust: Optional[np.ndarray]  # (n, nT, nx) contagion adjustment
+    adjust: Optional[np.ndarray]  # (m + 1, nT, nx) contagion adjustment
+    adjust_of: Optional[np.ndarray]  # (n,) int: row of ``adjust`` per path
     tables: np.ndarray        # (levels, nT, nx) deterministic part per level
     level_of: np.ndarray      # (n,) int: row of ``tables`` per path
     engine: "SurfaceEngine" = field(repr=False)
@@ -486,21 +491,22 @@ class SurfaceEngine:
             self._extra_cache[key] = hit
         return hit
 
-    def _extra_drift_head(self, s_idx: int, ell: float,
+    def _extra_drift_head(self, steps: np.ndarray, ell: float,
                           when: np.ndarray) -> np.ndarray:
         """int_{t0}^{when_e} of the extra drift for each time in ``when``
-        inside step s_idx, from the step's cached cubic: (E, nT, nx).
+        inside its step ``steps[e]`` (which starts at t0), from the step's
+        cached cubic: (E, nT, nx).
 
         Interpolation error is O(step^5), far below every tolerance the
         engine is used at; the full-interval case reproduces the
         Gauss-Legendre value exactly.
         """
-        t0, t1 = float(self.grid[s_idx]), float(self.grid[s_idx + 1])
+        t0, t1 = self.grid[steps], self.grid[steps + 1]
         mats, integral = self._extra_nodes_step(ell)
         half = 0.5 * (t1 - t0)
         u = (when - 0.5 * (t0 + t1)) / half
-        w = half * _gl_partial_weights(u)
-        return integral[s_idx] - np.einsum("ej,jgx->egx", w, mats[s_idx])
+        w = half[:, None] * _gl_partial_weights(u)
+        return integral[steps] - np.einsum("ej,ejgx->egx", w, mats[steps])
 
     def _cum_extra(self, ell: float) -> np.ndarray:
         """Node-cumulative extra-drift integrals for one loss level.
@@ -675,11 +681,11 @@ class SurfaceEngine:
           each step applies its jumps with one ``np.add.at``;
         * a loss jump adds its contagion rows to the path's adjustment and
           converts the drift history to the new level through cumulative
-          level integrals. Pre-jump levels come from ``levels_before``,
-          and each step handles its loss jumps in groups of equal
-          (pre-jump level, mark), one batched call per group. A path has at
-          most one jump per group, since its level only rises, and groups
-          run in level order, so each path sees its jumps in time order.
+          level integrals. The step loop's state does not depend on it, so
+          the jumps since the previous report node are applied in one pass
+          (``_apply_loss_jumps``) at each report node and at the last node,
+          where every jump passes the contagion bound. The adjustment has a
+          row per path that jumps and a zero row the other paths share.
         """
         d = self.d
         steps = len(self.grid) - 1
@@ -726,36 +732,29 @@ class SurfaceEngine:
         keep = (lt > self.grid[0]) & (lt <= self.horizon)
         lt, ly, lp = lt[keep], ly[keep], lp[keep]
         l_old = levels_before(ly, np.bincount(lp, minlength=n))
-        order, _, l_bounds = self._step_table(lt)
-        lt, ly, lp, l_old = (a[order] for a in (lt, ly, lp, l_old))
+        order, l_step, l_bounds = self._step_table(lt)
+        losses = tuple(a[order] for a in (lt, ly, lp, l_old)) + (l_step,)
         report_pos = {int(node): pos for pos, node in enumerate(report_nodes)}
 
         ell = np.zeros(n)
         R = np.zeros(n)
         I = np.zeros((n, self._ncomp))
-        adjust = (np.zeros((n, self.nT, self.nx))
-                  if self.loss_spec is not None else None)
+        adjust = adjust_of = None
+        if self.loss_spec is not None:
+            jumpers = np.unique(lp)
+            adjust = np.zeros((len(jumpers) + 1, self.nT, self.nx))
+            adjust_of = np.full(n, len(jumpers))
+            adjust_of[jumpers] = np.arange(len(jumpers))
+        applied = 0     # loss jumps applied so far, in time order
         gauss = bool(np.any(self.triplet.sigma_root)) and self._ncomp > 0
 
         if 0 in report_pos:
             self._emit_assembled(collectors, report_pos[0], 0, ell, R, I,
-                                 adjust, n, path_offset)
+                                 adjust, adjust_of, n, path_offset)
 
         for s_idx in range(steps):
             t0, t1 = float(self.grid[s_idx]), float(self.grid[s_idx + 1])
             dt = t1 - t0
-
-            lo, hi = l_bounds[s_idx], l_bounds[s_idx + 1]
-            if hi > lo:
-                keys, group = np.unique(
-                    np.stack([l_old[lo:hi], ly[lo:hi]], axis=1), axis=0,
-                    return_inverse=True)
-                group = group.reshape(-1)
-                for g, (old, y) in enumerate(keys):
-                    members = lo + np.flatnonzero(group == g)
-                    self._apply_loss_jumps(s_idx, float(old), float(y),
-                                           lt[members], lp[members], ell,
-                                           adjust)
 
             # discount integral over the step: deterministic part plus the
             # accumulator part, frozen at step entry and corrected exactly
@@ -780,28 +779,49 @@ class SurfaceEngine:
                 raise StepError(f"non-finite path state at t={t1:.6g}")
 
             node = s_idx + 1
+            if node in report_pos or node == steps:
+                hi = l_bounds[node]
+                self._apply_loss_jumps(tuple(a[applied:hi] for a in losses),
+                                       ell, adjust, adjust_of)
+                applied = hi
             if node in report_pos:
                 self._emit_assembled(collectors, report_pos[node], node, ell,
-                                     R, I, adjust, n, path_offset)
+                                     R, I, adjust, adjust_of, n, path_offset)
 
-    def _apply_loss_jumps(self, s_idx: int, old: float, y: float,
-                          when: np.ndarray, paths: np.ndarray, ell: np.ndarray,
-                          adjust: np.ndarray) -> None:
-        """Loss jumps of size y from level ``old`` at the times ``when`` in
-        step s_idx, one per path in ``paths``: contagion rows, then the
-        drift history converted to the new level."""
-        new = old + y
-        for i, x in enumerate(self.barriers):
-            adjust[paths, :, i] += self._c_rows(when, float(x), y, old)
-        if self._has_extra:
-            adjust[paths] += ((self._cum_extra(old)[s_idx]
-                               - self._cum_extra(new)[s_idx])
-                              + self._extra_drift_head(s_idx, old, when)
-                              - self._extra_drift_head(s_idx, new, when))
-        ell[paths] = new
+    def _apply_loss_jumps(self, jumps: tuple, ell: np.ndarray,
+                          adjust: np.ndarray, adjust_of: np.ndarray) -> None:
+        """Apply the loss jumps ``jumps`` = (time, size, path, pre-jump
+        level, step) to each path's adjustment row: contagion rows (zero at
+        x >= 1, so not added there), then the drift history converted to
+        the new level. Jumps run in groups of equal (pre-jump level, size),
+        in ascending order (the order of complex keys level + 1j * size),
+        and in batches of ``_BLOCK_ROWS``, each read and written back once.
+        A path's level only rises, so each path sees its jumps in time
+        order and has at most one per group: no batch holds a row twice.
+        """
+        when, sizes, paths, olds, steps = jumps
+        if not len(when):
+            return
+        keys, group = np.unique(olds + 1j * sizes, return_inverse=True)
+        for g, key in enumerate(keys):
+            old, y = float(key.real), float(key.imag)
+            new = old + y
+            members = np.flatnonzero(group == g)
+            for lo in range(0, len(members), _BLOCK_ROWS):
+                e = members[lo:lo + _BLOCK_ROWS]
+                u, s, rows = when[e], steps[e], adjust_of[paths[e]]
+                block = adjust[rows]
+                for i, x in enumerate(self.barriers):
+                    if x < 1.0:
+                        block[:, :, i] += self._c_rows(u, float(x), y, old)
+                block += ((self._cum_extra(old)[s] - self._cum_extra(new)[s])
+                          + self._extra_drift_head(s, old, u)
+                          - self._extra_drift_head(s, new, u))
+                adjust[rows] = block
+            ell[paths[members]] = new
 
-    def _emit_assembled(self, collectors, pos, node, ell, R, I, adjust, n,
-                        offset):
+    def _emit_assembled(self, collectors, pos, node, ell, R, I, adjust,
+                        adjust_of, n, offset):
         """Hand the chunk's state at a report node to the collectors.
 
         No surface is assembled: the state carries the deterministic table
@@ -826,7 +846,8 @@ class SurfaceEngine:
                                 else np.zeros(n))
         state = PathState(t=float(self.grid[node]), node=node, loss=ell,
                           discount_log=R, short_rate=r, offset=offset,
-                          accumulators=I, adjust=adjust, tables=tables,
+                          accumulators=I, adjust=adjust,
+                          adjust_of=adjust_of, tables=tables,
                           level_of=level_of, engine=self)
         if not (np.isfinite(tables).all()
                 and (not self._ncomp or np.isfinite(self._psi_T).all())
@@ -859,7 +880,7 @@ class SurfaceEngine:
         if prod is not None:
             col += prod
         if state.adjust is not None:
-            col += state.adjust[lo:hi, :, i]
+            col += state.adjust[state.adjust_of[lo:hi], :, i]
         return col
 
     def _check_finite(self, t: float, vals: np.ndarray) -> None:
@@ -963,7 +984,7 @@ class SurfaceEngine:
             state, loss=state.loss[sel], discount_log=state.discount_log[sel],
             short_rate=state.short_rate[sel], offset=state.offset + path,
             accumulators=state.accumulators[sel],
-            adjust=None if state.adjust is None else state.adjust[sel],
+            adjust_of=None if state.adjust is None else state.adjust_of[sel],
             level_of=state.level_of[sel], _values=row)
         diag = np.array([self.diagonal(one, float(x))[0]
                          for x in self.barriers])

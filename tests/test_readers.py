@@ -45,7 +45,7 @@ def _eager_surface(engine, state):
         for lv in levels:
             vals[ell == lv] += engine._cum_extra(lv)[node]
     vals += (state.accumulators @ engine._psi_T)[:, :, None]
-    vals += state.adjust
+    vals += state.adjust[state.adjust_of]
     return vals
 
 
