@@ -44,15 +44,20 @@ batches of ``_BLOCK_ROWS`` jumps, into adjustment rows kept only for the
 paths that jump. Drift tables are built per loss level, over every step's
 quadrature nodes at once, and cached.
 
-Building an engine costs a quadrature per node and the step tables, so
-callers that run one scenario again and again get it from ``_engine_for``,
-which keeps the last engine built and reuses it while the coefficient,
-driver and loss-spec objects are the same and the surface and grid equal
-the engine's own copies.
+A build fills its deterministic tables by one rule, the 4-point
+Gauss-Legendre nodes of every step, as array code: the base drift
+``base_cum``, the short-rate part ``_G`` at every node and its integrals
+``_cumG`` (over all pairs of a node and a later grid node). The rule is
+O(step^8) for coefficients smooth within each step; a kink inside a step
+(a ``step_component`` knot off the grid) costs it O(step^2) times the jump
+in slope, so put such knots on the grid (``include=``). Callers that run
+one scenario again and again get their engine from ``_engine_for``, which
+reuses the last one built while the coefficient, driver and loss-spec
+objects are the same and the surface and grid equal the engine's copies.
 
 Consequence leaned on by the test suite: with no Brownian part the whole
 scheme has no stepping error, so results are independent of the step size
-up to quadrature tolerance.
+up to the tables' quadrature error.
 
 Requirements on the coefficients: b must be loss-independent, flat in the
 barrier (``b_x_flat``) and carry its separable x = 1 decomposition, whose
@@ -73,15 +78,13 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
-from scipy.integrate import quad
 
 from .errors import BoundError, ConfigError, GridError, StepError
 from .hjm import CoefficientSpec, ForwardSurface, mix_columns
 from .levy import (
     LevyPathRecord,
     LevyTriplet,
-    laplace_exponent,
-    laplace_gradient,
+    laplace_exponent_rows,
     laplace_gradient_rows,
 )
 from .loss import (
@@ -155,6 +158,20 @@ def _gl_partial_weights(u: np.ndarray) -> np.ndarray:
     """Weights (len(u), 4) with sum_j w_j g(node_j) = int_u^1 (cubic
     through g) du, one row per reference point u."""
     return _GL_PRIM_AT_ONE - _gl_prim_at(u)
+
+
+# Rows per block of the build's table evaluations. A (rows, 2) float array
+# of 64 kB keeps a build's temporaries below a Monte Carlo rep's: blocks of
+# 65,536 rows raised the peak RSS of the every_node benchmark from 88 to
+# 92 MB.
+_TABLE_BLOCK = 1 << 12
+
+
+def _blocks(n: int, size: int) -> list:
+    """Slices covering range(n) in blocks of about ``_TABLE_BLOCK`` rows,
+    each item taking ``size`` rows."""
+    per = max(1, _TABLE_BLOCK // size)
+    return [slice(lo, min(lo + per, n)) for lo in range(0, n, per)]
 
 
 def build_master_grid(horizon: float, dt: float, include=()) -> np.ndarray:
@@ -307,7 +324,6 @@ class SurfaceEngine:
         self._mc = triplet.continuous_drift
         self._has_extra = (loss_spec is not None) or (not self._drift_is_tag)
         self._extra_cache: dict = {}
-        self._G_cache: dict = {}
         # maturity weights of the Monte Carlo readers, by (start, end)
         self._trapz_cache: dict = {}
 
@@ -317,7 +333,7 @@ class SurfaceEngine:
         self._check_flat_decomposition()
         self._prepare_short_rate_pieces()
         self._prepare_step_tables()
-        self._prepare_cum_deterministic_rate()
+        self._prepare_rate_tables()
 
     def _check_flat_decomposition(self):
         """Spot-check that barrier-flat volatility matches its separable
@@ -328,7 +344,7 @@ class SurfaceEngine:
         for frac_t, frac_T in ((0.31, 1.0), (0.77, 0.5)):
             t = t_lo + frac_t * (self.horizon - t_lo)
             T = T_lo + frac_T * (T_hi - T_lo)
-            via_comps = self._b_rows_one(t, T)
+            via_comps = self._b_and_star(np.array([t]), np.array([T]))[0][0, 0]
             direct = np.asarray(self.coeffs.b(t, T, 1.0, 0.0),
                                 dtype=float).reshape(-1)
             if np.max(np.abs(via_comps - direct)) > 1e-10 * (
@@ -341,43 +357,18 @@ class SurfaceEngine:
 
     # ----- coefficient evaluation ---------------------------------------
 
-    def _b_rows(self, t: float) -> np.ndarray:
-        """b(t, T_grid) as (nT, d), shared by every barrier slice."""
-        out = np.zeros((self.nT, self.d))
-        for comp, psi in zip(self._comps, self._psi_T):
-            out += psi[:, None] * np.asarray(comp.phi(t), dtype=float)
-        return out
-
-    def _b_star_rows(self, t: float) -> np.ndarray:
-        """b*(t, T_grid) as (nT, d), zero on matured columns."""
-        out = np.zeros((self.nT, self.d))
-        live = self.maturities > t
-        if not live.any():
-            return out
-        Ts = self.maturities[live]
-        acc = np.zeros((len(Ts), self.d))
+    def _b_and_star(self, u: np.ndarray, T: np.ndarray):
+        """b(u, T) and b*(u, T) at x = 1 for times u (E,) and maturities T
+        broadcasting against u[:, None]: each (E, m, d), b* zero at T <= u."""
+        shape = np.broadcast_shapes((len(u), 1), np.shape(T)) + (self.d,)
+        b, star = np.zeros(shape), np.zeros(shape)
         for comp in self._comps:
-            acc += np.asarray(comp.psi_integral(t, Ts), dtype=float)[:, None] \
-                * np.asarray(comp.phi(t), dtype=float)
-        out[live] = acc
-        return out
-
-    def _b_star_one(self, t: float, T: float) -> np.ndarray:
-        """b*(t, T) for the x = 1 slice."""
-        if T <= t:
-            return np.zeros(self.d)
-        out = np.zeros(self.d)
-        for comp in self._comps:
-            out += float(comp.psi_integral(t, T)) * np.asarray(comp.phi(t), dtype=float)
-        return out
-
-    def _b_rows_one(self, t: float, T: float) -> np.ndarray:
-        """b(t, T) for the x = 1 slice."""
-        out = np.zeros(self.d)
-        for comp in self._comps:
-            out += float(np.asarray(comp.psi(np.asarray(T, dtype=float)))) \
-                * np.asarray(comp.phi(t), dtype=float)
-        return out
+            phi = np.asarray(comp.phi(u), dtype=float)[:, None, :]
+            b += np.asarray(comp.psi(T), dtype=float)[..., None] * phi
+            star += np.asarray(comp.psi_integral(u[:, None], T),
+                               dtype=float)[..., None] * phi
+        star[~(T > u[:, None])] = 0.0
+        return b, star
 
     def _live_block(self, ts: np.ndarray):
         """First maturity column alive for the earliest of the times ts, the
@@ -420,19 +411,17 @@ class SurfaceEngine:
 
     # ----- deterministic drift tables ------------------------------------
 
-    def _base_drift_matrix_at(self, s: float) -> np.ndarray:
-        """Loss-independent pointwise drift at time s: (nT, nx).
-
-        Contains the driver compensation <b, m_c> plus, under the
-        no-arbitrage tag, <grad J(b*), b>. Matured columns come out exactly
-        zero because b* is clamped there and grad J(0) = -m_c.
-        """
-        brows = self._b_rows(s)
-        out_rows = brows @ self._mc
+    def _base_drift(self, b: np.ndarray, star: np.ndarray) -> np.ndarray:
+        """Loss-independent pointwise drift from b and b* (..., d): the
+        driver compensation <b, m_c> plus, under the no-arbitrage tag,
+        <grad J(b*), b>. Matured columns come out exactly zero because b*
+        is clamped there and grad J(0) = -m_c."""
+        out = b @ self._mc
         if self._no_arb:
-            grads = laplace_gradient_rows(self._b_star_rows(s), self.triplet)
-            out_rows = out_rows + np.einsum("gd,gd->g", grads, brows)
-        return np.broadcast_to(out_rows[:, None], (self.nT, self.nx)).copy()
+            grads = laplace_gradient_rows(star.reshape(-1, self.d),
+                                          self.triplet).reshape(star.shape)
+            out = out + np.einsum("...d,...d->...", grads, b)
+        return out
 
     def _extra_drift_matrix_at(self, ss: np.ndarray, ell: float) -> np.ndarray:
         """Loss-level-dependent pointwise drift at the times ss: (S, nT, nx).
@@ -525,23 +514,31 @@ class SurfaceEngine:
         return hit
 
     def _prepare_step_tables(self):
+        """The step quadrature (4-point Gauss-Legendre nodes and weights
+        per step), the volatility bound at the left step ends and the
+        node-cumulative base drift ``base_cum``: the base drift is
+        evaluated over all quadrature times in blocks of ``_blocks`` and
+        each step sums its four nodes in order."""
         steps = len(self.grid) - 1
         t0, t1 = self.grid[:-1, None], self.grid[1:, None]
         half = 0.5 * (t1 - t0)
         self._gl_times = 0.5 * (t0 + t1) + half * _GL_NODES   # (steps, 4)
         self._gl_weights = half * _GL_WEIGHTS
-        base_drift = np.empty((steps, self.nT, self.nx))
         self._phi_left = self._phi_at(self.grid[:-1])
-        for s_idx in range(steps):
-            acc = np.zeros((self.nT, self.nx))
-            for s, w in zip(self._gl_times[s_idx], self._gl_weights[s_idx]):
-                acc += w * self._base_drift_matrix_at(s)
-            base_drift[s_idx] = acc
-            if np.max(np.abs(self._b_rows(self.grid[s_idx]))) > self.coeffs.b_bound:
-                raise BoundError(
-                    f"volatility exceeded its declared bound {self.coeffs.b_bound} "
-                    f"at t={self.grid[s_idx]}"
-                )
+        b_left = np.einsum("scd,cg->sgd", self._phi_left, self._psi_T)
+        over = np.max(np.abs(b_left), axis=(1, 2)) > self.coeffs.b_bound
+        if over.any():
+            raise BoundError(
+                f"volatility exceeded its declared bound {self.coeffs.b_bound} "
+                f"at t={self.grid[np.argmax(over)]}"
+            )
+        acc = np.zeros((steps, self.nT))
+        for sl in _blocks(steps, 4 * self.nT):
+            rows = self._base_drift(*self._b_and_star(
+                self._gl_times[sl].ravel(), self.maturities))
+            for j in range(4):
+                acc[sl] += self._gl_weights[sl, j, None] * rows[j::4]
+        base_drift = np.broadcast_to(acc[:, :, None], (steps, self.nT, self.nx))
         self.base_cum = np.concatenate(
             [np.zeros((1, self.nT, self.nx)), np.cumsum(base_drift, axis=0)]
         )
@@ -566,57 +563,58 @@ class SurfaceEngine:
         return _stack([comp.phi(ts) for comp in self._comps],
                       (len(ts), 0, self.d), axis=1)
 
-    def _drift_star_rf(self, u: float, tau: float) -> float:
-        """int_u^tau [a(u, s, 1) + <b(u, s, 1), m_c>] ds, closed in maturity.
+    def _prepare_rate_tables(self):
+        """The deterministic short-rate part at every node and its node
+        integrals, with D(u, tau) = <b*(u, tau), m_c> + int_u^tau a(u, s, 1) ds:
 
-        Under the no-arbitrage tag the drift condition collapses the inner
-        integral to J(b*(u, tau)): the contagion correction vanishes on the
-        x = 1 slice. A callable drift is integrated numerically.
+            G[k] = f(0, t_k, 1) + int_0^{t_k} [a(u, t_k, 1) + <b(u, t_k, 1), m_c>] du,
+            cumG[k] = int_0^{t_k} f(0, s, 1) ds + int_0^{t_k} D(u, t_k) du
+
+        (int_0^{t_k} G, the integration order swapped). The no-arbitrage
+        drift closes D to <b*, m_c> + J(b*), the contagion term vanishing at
+        x = 1. The u-integrals sum the quadrature nodes i < 4k of the steps
+        before k, each node's pairs (i, k) by numpy's pairwise sum.
         """
-        v = self._b_star_one(u, tau)
-        out = float(v @ self._mc)
-        if self._no_arb:
-            out += laplace_exponent(v, self.triplet)
-        elif not self._drift_is_tag:
-            val, _ = quad(lambda s: float(self.coeffs.drift(u, s, 1.0, 0.0)),
-                          u, tau, epsabs=1e-12, limit=200)
-            out += val
-        return out
+        grid, surf, steps = self.grid, self.surface0, len(self.grid) - 1
+        col = surf.values[:, surf.barrier_weights(1.0)[0][0]]
+        G = np.interp(np.minimum(grid, self.maturities[-1]), self.maturities,
+                      col)
+        cumG = np.array([0.0] + [surf.maturity_integral(grid[0], tau, 1.0)
+                                 for tau in grid[1:]])
+        u_all, w_all = self._gl_times.ravel(), self._gl_weights.ravel()
+        inner = None if self._drift_is_tag else self._callable_drift_integrals()
+        for sl in _blocks(steps, 4 * steps):
+            targets = np.arange(1, steps + 1)[sl]
+            row, nodes = np.nonzero(np.arange(4 * steps) < 4 * targets[:, None])
+            ks = targets[row]
+            u, tau = u_all[nodes], grid[ks]
+            b, star = (a[:, 0] for a in self._b_and_star(u, tau[:, None]))
+            g, D = self._base_drift(b, star), star @ self._mc
+            if self._no_arb:
+                D = D + laplace_exponent_rows(star, self.triplet)
+            elif inner is not None:
+                D = D + inner[nodes, ks]
+                g = g + np.array([float(self.coeffs.drift(x, t, 1.0, 0.0))
+                                  for x, t in zip(u, tau)])
+            edges, w = np.cumsum(4 * targets)[:-1], w_all[nodes]
+            G[targets] += [p.sum() for p in np.split(w * g, edges)]
+            cumG[targets] += [p.sum() for p in np.split(w * D, edges)]
+        self._G, self._cumG = G, cumG
 
-    def _prepare_cum_deterministic_rate(self):
-        """cumG[k] = int_0^{t_k} G(s) ds for the deterministic short-rate part
-        G(s) = f(0, s, 1) + int_0^s [a(u, s, 1) + <b(u, s, 1), m_c>] du,
-        computed per node by swapping the integration order."""
-        surf = self.surface0
-        self._cumG = np.zeros(len(self.grid))
-        for k in range(1, len(self.grid)):
-            tau = float(self.grid[k])
-            base = surf.maturity_integral(float(self.grid[0]), tau, 1.0)
-            val, _ = quad(self._drift_star_rf, float(self.grid[0]), tau,
-                          args=(tau,), epsabs=1e-12, limit=200)
-            self._cumG[k] = base + val
-
-    def _G_at(self, node: int) -> float:
-        """Deterministic short-rate part at a master node (cached)."""
-        hit = self._G_cache.get(node)
-        if hit is not None:
-            return hit
-        t = float(self.grid[node])
-        out = float(self.surface0.forward_at(min(t, float(self.maturities[-1])), 1.0))
-        if t > self.grid[0]:
-            def integrand(u):
-                b = self._b_rows_one(u, t)
-                val = float(b @ self._mc)
-                if self._no_arb:
-                    val += float(laplace_gradient(self._b_star_one(u, t),
-                                                  self.triplet) @ b)
-                elif not self._drift_is_tag:
-                    val += float(self.coeffs.drift(u, t, 1.0, 0.0))
-                return val
-            val, _ = quad(integrand, float(self.grid[0]), t, epsabs=1e-12,
-                          limit=200)
-            out += val
-        self._G_cache[node] = out
+    def _callable_drift_integrals(self) -> np.ndarray:
+        """int_u^{t_k} a(u, s, 1, 0) ds of a callable drift for every step
+        quadrature node u and grid node t_k after it, zero for the others:
+        (4 steps, nodes). Gauss-Legendre on the steps from u to t_k."""
+        out = np.zeros((self._gl_times.size, len(self.grid)))
+        for i, u in enumerate(self._gl_times.ravel()):
+            j, t1 = i // 4, self.grid[i // 4 + 1]
+            half = 0.5 * (t1 - u)
+            ss = np.concatenate([0.5 * (u + t1) + half * _GL_NODES,
+                                 self._gl_times[j + 1:].ravel()])
+            ws = np.concatenate([half * _GL_WEIGHTS,
+                                 self._gl_weights[j + 1:].ravel()])
+            vals = [float(self.coeffs.drift(u, s, 1.0, 0.0)) for s in ss]
+            out[i, j + 1:] = np.cumsum((ws * vals).reshape(-1, 4).sum(axis=1))
         return out
 
     # ----- path generation -------------------------------------------------
@@ -842,7 +840,7 @@ class SurfaceEngine:
         else:
             level_of = np.zeros(n, dtype=np.intp)
             tables = table[None]
-        r = self._G_at(node) + (I @ self._psi_at_node[node] if self._ncomp
+        r = self._G[node] + (I @ self._psi_at_node[node] if self._ncomp
                                 else np.zeros(n))
         state = PathState(t=float(self.grid[node]), node=node, loss=ell,
                           discount_log=R, short_rate=r, offset=offset,

@@ -38,6 +38,7 @@ __all__ = [
     "LevyTriplet",
     "LevyPathRecord",
     "laplace_exponent",
+    "laplace_exponent_rows",
     "laplace_gradient",
     "laplace_gradient_rows",
     "jump_exp_moment",
@@ -255,61 +256,29 @@ def jump_exp_moment(u, triplet: LevyTriplet) -> float:
     return j.rate * j.decay / (u[0] + j.decay)
 
 
-def laplace_exponent(u, triplet: LevyTriplet) -> float:
-    """Cumulant J(u) of the driver: E exp(-<u, Z_t>) = exp(t J(u)).
-
-    Raises DomainError when u is outside B, DimensionError on shape
-    mismatch.
-    """
+def _one_row(u, triplet: LevyTriplet) -> np.ndarray:
+    """u as a (1, d) row: DimensionError on shape mismatch, DomainError
+    when u is non-finite or outside B."""
     u = _as_vector(u, triplet.dimension, "u")
     if not in_domain_B(u, triplet):
         raise DomainError(f"u = {u} lies outside the exponential-moment set B")
-    val = -float(np.dot(triplet.m, u)) + 0.5 * float(u @ triplet.sigma @ u)
-    j = triplet.jumps
-    if j.kind == "none":
-        return val
-    if j.is_atomic:
-        dot = j.atom_z @ u
-        small = np.linalg.norm(j.atom_z, axis=1) <= 1.0
-        val += float(np.dot(j.atom_w, np.exp(-dot) - 1.0 + np.where(small, dot, 0.0)))
-        return val
-    th = j.decay
-    u0 = u[0]
-    small_mean = (1.0 - np.exp(-th) * (1.0 + th)) / th
-    val += j.rate * (th / (u0 + th) - 1.0 + u0 * small_mean)
-    return val
+    return u[None]
+
+
+def laplace_exponent(u, triplet: LevyTriplet) -> float:
+    """Cumulant J(u) of the driver: E exp(-<u, Z_t>) = exp(t J(u)); a
+    one-row call of ``laplace_exponent_rows``. DomainError when u is
+    outside B, DimensionError on shape mismatch."""
+    return float(laplace_exponent_rows(_one_row(u, triplet), triplet)[0])
 
 
 def laplace_gradient(u, triplet: LevyTriplet) -> np.ndarray:
-    """Gradient of J at u, used by the no-arbitrage drift.
-
-    grad J(u) = -m + sigma u + integral of z (1{|z|<=1} - exp(-<u,z>)) nu(dz).
-    """
-    u = _as_vector(u, triplet.dimension, "u")
-    if not in_domain_B(u, triplet):
-        raise DomainError(f"u = {u} lies outside the exponential-moment set B")
-    grad = -triplet.m + triplet.sigma @ u
-    j = triplet.jumps
-    if j.kind == "none":
-        return grad
-    if j.is_atomic:
-        dot = j.atom_z @ u
-        small = np.linalg.norm(j.atom_z, axis=1) <= 1.0
-        coeff = j.atom_w * (np.where(small, 1.0, 0.0) - np.exp(-dot))
-        return grad + coeff @ j.atom_z
-    th = j.decay
-    u0 = u[0]
-    # int z exp(-u z) theta e^{-theta z} dz = theta / (u + theta)^2
-    grad[0] += triplet.small_jump_mean[0] - j.rate * th / (u0 + th) ** 2
-    return grad
+    """Gradient of J at u; a one-row call of ``laplace_gradient_rows``."""
+    return laplace_gradient_rows(_one_row(u, triplet), triplet)[0]
 
 
-def laplace_gradient_rows(V, triplet: LevyTriplet) -> np.ndarray:
-    """Gradient of J applied row-wise to an (n, d) array of arguments.
-
-    Same mathematics as ``laplace_gradient``; exists so drift tabulation
-    over a whole maturity grid costs one array expression per call.
-    """
+def _rows(V, triplet: LevyTriplet) -> np.ndarray:
+    """An (n, d) float array of arguments, each row in the set B."""
     V = np.asarray(V, dtype=float)
     if V.ndim != 2 or V.shape[1] != triplet.dimension:
         raise DimensionError(
@@ -318,7 +287,35 @@ def laplace_gradient_rows(V, triplet: LevyTriplet) -> np.ndarray:
     j = triplet.jumps
     if j.kind == "exponential" and np.any(V[:, 0] + j.decay <= 0.0):
         raise DomainError("some rows lie outside the exponential-moment set B")
+    return V
+
+
+def laplace_exponent_rows(V, triplet: LevyTriplet) -> np.ndarray:
+    """J applied row-wise to an (n, d) array of arguments: (n,). The one
+    owner of the cumulant, so tables of J cost one array expression."""
+    V = _rows(V, triplet)
+    val = -(V @ triplet.m) + 0.5 * np.einsum("nd,nd->n", V @ triplet.sigma, V)
+    j = triplet.jumps
+    if j.kind == "none":
+        return val
+    if j.is_atomic:
+        dot = V @ j.atom_z.T
+        small = np.linalg.norm(j.atom_z, axis=1) <= 1.0
+        return val + (np.exp(-dot) - 1.0 + np.where(small, dot, 0.0)) @ j.atom_w
+    th = j.decay
+    u0 = V[:, 0]
+    small_mean = (1.0 - np.exp(-th) * (1.0 + th)) / th
+    return val + j.rate * (th / (u0 + th) - 1.0 + u0 * small_mean)
+
+
+def laplace_gradient_rows(V, triplet: LevyTriplet) -> np.ndarray:
+    """Gradient of J applied row-wise to an (n, d) array of arguments,
+    grad J(u) = -m + sigma u + integral of z (1{|z|<=1} - exp(-<u,z>)) nu(dz);
+    the one owner of the gradient, as ``laplace_exponent_rows`` is of J.
+    """
+    V = _rows(V, triplet)
     grad = V @ triplet.sigma - triplet.m
+    j = triplet.jumps
     if j.kind == "none":
         return grad
     if j.is_atomic:
@@ -327,6 +324,7 @@ def laplace_gradient_rows(V, triplet: LevyTriplet) -> np.ndarray:
         coeff = j.atom_w * (np.where(small, 1.0, 0.0) - np.exp(-dot))
         return grad + coeff @ j.atom_z
     th = j.decay
+    # int z exp(-u z) theta e^{-theta z} dz = theta / (u + theta)^2
     grad[:, 0] += triplet.small_jump_mean[0] - j.rate * th / (V[:, 0] + th) ** 2
     return grad
 

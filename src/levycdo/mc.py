@@ -199,9 +199,8 @@ def _trapz_layout(maturities: np.ndarray, a: float, b: float):
 
 def _trapz_weights(engine: SurfaceEngine, a: float, b: float):
     """``_trapz_layout`` on the engine's maturities, cached per engine by
-    (a, b) as ``_G_cache`` caches by node: a report node's time and a
-    target maturity, or a rate period's dates. The column weights are
-    read-only."""
+    (a, b): a report node's time and a target maturity, or a rate period's
+    dates. The column weights are read-only."""
     key = (float(a), float(b))
     hit = engine._trapz_cache.get(key)
     if hit is None:

@@ -9,6 +9,7 @@ from levycdo.families import (
     exp_decay_component,
     ladder_contagion,
     ladder_initial_spread,
+    step_component,
 )
 from levycdo.hjm import ForwardSurface
 from levycdo.levy import JumpMeasureSpec, LevyTriplet
@@ -16,6 +17,20 @@ from levycdo.loss import LossCompensatorSpec
 
 LADDER_RATE = 0.35
 LADDER_MARK = 0.17
+
+# Volatility components by name, each with the knots of its step shapes:
+# the cases of the engine's component- and rate-table tests.
+VOL_COMPONENTS = {
+    "constant": ((constant_component([0.02, 0.01]),), ()),
+    "exp_decay": ((exp_decay_component([0.015, -0.01], 0.8),), ()),
+    "step": ((step_component([0.01, 0.02], [0.0, 0.7, 1.9, 2.6],
+                             [1.0, 0.4, 1.7]),), (0.0, 0.7, 1.9, 2.6)),
+    "mixed": ((constant_component([0.01, 0.0]),
+               exp_decay_component([0.0, 0.02], 1.3),
+               step_component([0.01, 0.01], [0.2, 1.1, 2.9], [0.6, 1.4])),
+              (0.2, 1.1, 2.9)),
+    "none": ((), ()),
+}
 
 
 @pytest.fixture

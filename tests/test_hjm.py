@@ -45,7 +45,8 @@ from levycdo.levy import JumpMeasureSpec, LevyPathRecord, LevyTriplet
 from levycdo.loss import LossCompensatorSpec, LossPath, simulate_loss_paths_bulk
 from levycdo.rng import STREAM_LEVY, STREAM_LOSS, chunk_generator
 
-from conftest import LADDER_MARK, LADDER_RATE, jump_only_triplet, make_ladder_surface
+from conftest import (LADDER_MARK, LADDER_RATE, VOL_COMPONENTS,
+                      jump_only_triplet, make_ladder_surface)
 
 
 # --------------------------------------------------------------------------
@@ -822,14 +823,9 @@ def _former_component_tables(engine):
     return at_node, int_step, at_T, phi_left
 
 
-@pytest.mark.parametrize("components", [
-    (constant_component([0.02, 0.01]),),
-    (exp_decay_component([0.015, -0.01], 0.8),),
-    (step_component([0.01, 0.02], [0.0, 0.7, 1.9, 2.6], [1.0, 0.4, 1.7]),),
-    (constant_component([0.01, 0.0]), exp_decay_component([0.0, 0.02], 1.3),
-     step_component([0.01, 0.01], [0.2, 1.1, 2.9], [0.6, 1.4])),
-    (),
-], ids=["constant", "exp_decay", "step", "mixed", "none"])
+@pytest.mark.parametrize("components",
+                         [comps for comps, _ in VOL_COMPONENTS.values()],
+                         ids=list(VOL_COMPONENTS))
 def test_component_tables_equal_elementwise_construction(
         components, gauss2, ladder_surface):
     """The engine's component tables, one array call per component, equal

@@ -15,6 +15,7 @@ from levycdo.levy import (
     in_domain_B,
     jump_exp_moment,
     laplace_exponent,
+    laplace_exponent_rows,
     laplace_gradient,
     laplace_gradient_rows,
     simulate_increments,
@@ -139,6 +140,56 @@ def test_gradient_rows_domain_and_shape_checks():
         laplace_gradient_rows(np.array([[0.5], [-2.0]]), trip)
     with pytest.raises(DimensionError):
         laplace_gradient_rows(np.zeros((3, 2)), trip)
+
+
+@pytest.mark.parametrize("kind", ["none", "atomic", "exponential"])
+def test_exponent_rows_own_the_exponent(kind):
+    """The scalar J and grad J are one-row calls of the row forms for every
+    jump kind. A row of a many-row call may differ in its last bits, since
+    numpy hands a one-row matrix product to another BLAS routine. The row
+    gradient is the central difference of the row exponent."""
+    if kind == "exponential":
+        trip = LevyTriplet(m=np.array([0.1]), sigma=np.array([[0.4]]),
+                           jumps=JumpMeasureSpec.exponential(0.7, 2.5))
+    else:
+        jumps = (JumpMeasureSpec.none() if kind == "none" else
+                 JumpMeasureSpec.compound_poisson(
+                     1.3, [([0.4, -0.2], 0.5), ([-1.5, 0.8], 0.5)]))
+        trip = LevyTriplet(m=np.array([0.1, -0.2]),
+                           sigma=np.array([[0.5, 0.1], [0.1, 0.3]]),
+                           jumps=jumps)
+    d = trip.dimension
+    V = np.random.default_rng(5).normal(scale=0.5, size=(40, d))
+    J, grad = laplace_exponent_rows(V, trip), laplace_gradient_rows(V, trip)
+    for k in range(len(V)):
+        one = V[k:k + 1]
+        assert laplace_exponent(V[k], trip) == laplace_exponent_rows(one, trip)[0]
+        assert np.array_equal(laplace_gradient(V[k], trip),
+                              laplace_gradient_rows(one, trip)[0])
+        assert J[k] == pytest.approx(laplace_exponent(V[k], trip), rel=1e-13,
+                                     abs=1e-16)
+        np.testing.assert_allclose(grad[k], laplace_gradient(V[k], trip),
+                                   rtol=1e-13, atol=1e-16)
+    h = 1e-6
+    for i in range(d):
+        e = np.zeros(d)
+        e[i] = h
+        num = (laplace_exponent_rows(V + e, trip)
+               - laplace_exponent_rows(V - e, trip)) / (2 * h)
+        np.testing.assert_allclose(grad[:, i], num, rtol=1e-7, atol=1e-9)
+
+
+def test_exponent_rows_domain_and_shape_checks():
+    trip = LevyTriplet(
+        m=np.zeros(1), sigma=np.zeros((1, 1)),
+        jumps=JumpMeasureSpec.exponential(1.0, 2.0),
+    )
+    with pytest.raises(DomainError):
+        laplace_exponent_rows(np.array([[0.5], [-2.0]]), trip)
+    with pytest.raises(DimensionError):
+        laplace_exponent_rows(np.zeros((3, 2)), trip)
+    with pytest.raises(DimensionError):
+        laplace_exponent_rows(np.zeros(3), trip)
 
 
 @given(
